@@ -7,7 +7,9 @@ package hostsim_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"hostsim"
 )
@@ -99,23 +101,59 @@ func TestRunUnknownSchedulerRejected(t *testing.T) {
 	}
 }
 
-// TestRunAllocationBudget guards the hot-path allocation purge: a default
-// single-flow run must stay within a fixed allocation budget. The purge
-// left the run at roughly 2.4k allocations (setup + unavoidable growth);
-// the bound below leaves ~2.5x headroom so it only trips on a real
-// regression (a per-event or per-packet allocation reappearing multiplies
-// the count by orders of magnitude, not percentages).
+// TestRunAllocationBudget guards the hot-path allocation purge and the
+// lazy Rx page stash: each run must stay within a fixed budget of
+// objects and bytes. The pair run sits near 1.7k objects and 0.3 MB; the
+// 64-host incast near 23k objects and 4.8 MB, where eagerly built Rx
+// stashes cost 23.5 MB. Each bound leaves headroom so it trips only on a
+// real regression: a per-packet allocation multiplies the object count,
+// and materialising every stash page again multiplies the bytes.
 func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting run is not short")
 	}
-	const budget = 6000
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := hostsim.Run(benchRunCfg(), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > budget {
-		t.Errorf("default Run allocated %.0f objects, budget %d; a hot-path allocation has crept back in", allocs, budget)
+	fab := hostsim.Config{
+		Stack: hostsim.AllOptimizations(), Seed: 7, ECNMarkKB: 64,
+		Warmup: 3 * time.Millisecond, Duration: 4 * time.Millisecond,
+		Fabric: &hostsim.FabricOptions{Hosts: 64, SharedBufferKB: 16384},
 	}
+	fab.Stack.CC = "dctcp"
+	for _, tc := range []struct {
+		name    string
+		cfg     hostsim.Config
+		wl      hostsim.Workload
+		objects float64
+		bytes   float64
+	}{
+		{"pair", benchRunCfg(), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1), 6000, 0.5e6},
+		{"fabric-incast64", fab, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 30000, 8e6},
+	} {
+		objects, bytes := allocsPerRun(3, func() {
+			if _, err := hostsim.Run(tc.cfg, tc.wl); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if objects > tc.objects {
+			t.Errorf("%s: Run allocated %.0f objects, budget %.0f; a hot-path allocation has crept back in", tc.name, objects, tc.objects)
+		}
+		if bytes > tc.bytes {
+			t.Errorf("%s: Run allocated %.2f MB, budget %.2f MB", tc.name, bytes/1e6, tc.bytes/1e6)
+		}
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun reporting bytes as well: the mean
+// objects and bytes f allocates per call, after one warm-up call, with
+// GOMAXPROCS at 1.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -3,6 +3,7 @@ package hostsim_test
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,6 +142,34 @@ func TestFabricRejects(t *testing.T) {
 		if _, err := hostsim.Run(tc.cfg, tc.wl); err == nil {
 			t.Errorf("%s: expected an error", tc.name)
 		}
+	}
+}
+
+// TestFabricPcapNeedsTwoHosts pins the never-panic contract for packet
+// capture on a fabric: a capture models one direction of a host pair, so
+// Run refuses Inspect.Pcap on a 4-host fabric with an error instead of
+// panicking, while the 2-host fabric still captures both directions.
+func TestFabricPcapNeedsTwoHosts(t *testing.T) {
+	run := func(hosts int) (res *hostsim.Result, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("%d hosts: Run panicked: %v", hosts, p)
+			}
+		}()
+		cfg := fabCfg(hosts)
+		cfg.Warmup, cfg.Duration = 2*time.Millisecond, 2*time.Millisecond
+		cfg.Inspect = &hostsim.InspectOptions{Pcap: true}
+		return hostsim.Run(cfg, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0))
+	}
+	if _, err := run(4); err == nil || !strings.Contains(err.Error(), "Inspect.Pcap") {
+		t.Errorf("4 hosts: err = %v, want an Inspect.Pcap error", err)
+	}
+	res, err := run(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PacketCaptures) != 2 {
+		t.Errorf("2 hosts: %d captures, want 2", len(res.PacketCaptures))
 	}
 }
 

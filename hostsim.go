@@ -362,7 +362,7 @@ type CheckOptions struct {
 // Pcap, Probe and SS select the exporters; all three false (the zero
 // value) enables all of them.
 type InspectOptions struct {
-	Pcap  bool // capture both link directions into Result.PacketCaptures
+	Pcap  bool // capture both link directions into Result.PacketCaptures (2-host topologies only)
 	Probe bool // tcp_probe-style congestion traces into Result.ProbeTrace
 	SS    bool // socket/queue snapshots into Result.SocketSnapshots
 

@@ -45,6 +45,10 @@ func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, tap
 	if !pcap && !probe && !ss {
 		pcap, probe, ss = true, true, true
 	}
+	if pcap && len(taps) > 2 {
+		// A capture addresses its frames as one direction of a host pair.
+		return nil, fmt.Errorf("hostsim: Inspect.Pcap captures a 2-host link; this topology has %d link directions", len(taps))
+	}
 	insp := &inspector{}
 	if pcap {
 		for i, tp := range taps {

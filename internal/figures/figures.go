@@ -6,6 +6,7 @@
 package figures
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -252,8 +253,24 @@ var (
 	runCache = map[string]*memoEntry{}
 )
 
+// runKey identifies a simulation for the memo. It marshals cfg rather
+// than formatting it: %+v prints a pointer field (Tuning, FabricObs, ...)
+// as its address, and once the option struct behind one key is garbage
+// the allocator may hand that address to a different one, which would
+// then be served the stale run.
+func runKey(cfg hostsim.Config, wl hostsim.Workload) (string, error) {
+	b, err := json.Marshal(struct {
+		Cfg hostsim.Config
+		Wl  hostsim.Workload
+	}{cfg, wl})
+	return string(b), err
+}
+
 func run(cfg hostsim.Config, wl hostsim.Workload) (*hostsim.Result, error) {
-	key := fmt.Sprintf("%+v|%+v", cfg, wl)
+	key, err := runKey(cfg, wl)
+	if err != nil {
+		return nil, fmt.Errorf("figures: run key: %w", err)
+	}
 	cacheMu.Lock()
 	e, ok := runCache[key]
 	if !ok {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hostsim"
 )
 
 // quick returns a fast measurement window for tests.
@@ -115,6 +117,28 @@ func TestRunCache(t *testing.T) {
 	ClearCache()
 	if CacheSize() != 0 {
 		t.Error("ClearCache left entries")
+	}
+}
+
+// TestRunKeyFollowsPointers checks that the memo key is built from what a
+// config's option pointers hold, not from their addresses: equal options
+// in distinct structs share a key, and different options never do.
+func TestRunKeyFollowsPointers(t *testing.T) {
+	wl := hostsim.LongFlowWorkload(hostsim.PatternSingle, 1)
+	key := func(factor float64) string {
+		cfg := quick().config(hostsim.AllOptimizations())
+		cfg.Tuning = &hostsim.Tuning{DCAHazardFactor: factor}
+		k, err := runKey(cfg, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if key(0.07) != key(0.07) {
+		t.Error("equal Tuning values in distinct structs got different keys")
+	}
+	if key(0.07) == key(-1) {
+		t.Error("different Tuning values share a key")
 	}
 }
 

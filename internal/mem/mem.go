@@ -13,6 +13,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"hostsim/internal/cache"
 	"hostsim/internal/cpumodel"
@@ -101,6 +102,7 @@ func (a *Allocator) AppendAlloc(ch cpumodel.Charger, core, n int, dst []Page) []
 	}
 	node := a.spec.NodeOf(core)
 	want := len(dst) + n
+	dst = slices.Grow(dst, n)
 	fl := a.freelists[core]
 	for len(dst) < want && len(fl) > 0 {
 		dst = append(dst, fl[len(fl)-1])
@@ -117,6 +119,74 @@ func (a *Allocator) AppendAlloc(ch cpumodel.Charger, core, n int, dst []Page) []
 	}
 	a.inUse += int64(n)
 	return dst
+}
+
+// Stash is a LIFO of pages reserved for one consumer, such as an Rx
+// queue's posted descriptors. It holds three parts, bottom to top: the
+// pageset pages Prefill took, in the order Alloc would have returned them;
+// a run of fresh IDs [lo,hi) on one node that Prefill reserved but has not
+// materialised; and the pages Restock pushed since. A large, mostly idle
+// reservation therefore costs no memory until it is popped.
+type Stash struct {
+	boot   []Page
+	lo, hi cache.PageID
+	node   int
+	top    []Page
+}
+
+// Prefill reserves n pages for code running on core, exactly as
+// Alloc(cpumodel.Discard{}, core, n) would: the same pages, IDs and
+// counters, with no CPU charged. Only the pageset share is materialised.
+func (a *Allocator) Prefill(core, n int) Stash {
+	if n < 0 {
+		panic(fmt.Sprintf("mem: Prefill(%d)", n))
+	}
+	fl := a.freelists[core]
+	k := min(n, len(fl))
+	s := Stash{boot: make([]Page, k), node: a.spec.NodeOf(core)}
+	for i := range s.boot {
+		s.boot[i] = fl[len(fl)-1-i]
+	}
+	a.freelists[core] = fl[:len(fl)-k]
+	a.stats.AllocPCP += int64(k)
+	fresh := n - k
+	s.lo = a.nextID + 1
+	s.hi = s.lo + cache.PageID(fresh)
+	a.nextID += cache.PageID(fresh)
+	a.stats.AllocGlobal += int64(fresh)
+	a.inUse += int64(n)
+	return s
+}
+
+// Restock allocates n pages for code running on core, charging ch as
+// Alloc does, and pushes them onto s.
+func (a *Allocator) Restock(ch cpumodel.Charger, core, n int, s *Stash) {
+	s.top = a.AppendAlloc(ch, core, n, s.top)
+}
+
+// Len returns the number of pages in the stash.
+func (s *Stash) Len() int { return len(s.boot) + int(s.hi-s.lo) + len(s.top) }
+
+// Pop removes the top len(dst) pages and writes them to dst in stash
+// order, bottom first, so dst's last page is the stash's former top.
+// Panics if the stash holds fewer pages.
+func (s *Stash) Pop(dst []Page) {
+	k := len(dst)
+	if k > s.Len() {
+		panic(fmt.Sprintf("mem: Pop(%d) from a stash of %d", k, s.Len()))
+	}
+	t := min(k, len(s.top))
+	copy(dst[k-t:], s.top[len(s.top)-t:])
+	s.top = s.top[:len(s.top)-t]
+	k -= t
+	f := min(k, int(s.hi-s.lo))
+	s.hi -= cache.PageID(f)
+	for i := 0; i < f; i++ {
+		dst[k-f+i] = Page{ID: s.hi + cache.PageID(i), Node: s.node}
+	}
+	k -= f
+	copy(dst[:k], s.boot[len(s.boot)-k:])
+	s.boot = s.boot[:len(s.boot)-k]
 }
 
 // Free returns pages from code running on core. Local pages go back to the

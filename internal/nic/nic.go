@@ -208,7 +208,7 @@ type rxQueue struct {
 	nic          *NIC
 	core         int
 	posted       int // descriptors with buffers available
-	stash        []mem.Page
+	stash        mem.Stash
 	stashDeficit int          // pages taken by DMA since the last replenish
 	descDeficit  int          // descriptors consumed since the last replenish
 	backlog      []*skb.Frame // arrivals append at the tail, NAPI drains from bhead
@@ -298,9 +298,10 @@ func (n *NIC) queue(core int) *rxQueue {
 			}
 		}
 		// Pre-fill the page stash for all posted descriptors, as the
-		// driver does at ifup. Boot-time cost is not accounted.
+		// driver does at ifup. Boot-time cost is not accounted, and the
+		// stash builds each page only when DMA pops it.
 		pages := n.cfg.RxRing * n.alloc.PagesFor(n.cfg.MTU)
-		q.stash = n.alloc.Alloc(cpumodel.Discard{}, core, pages)
+		q.stash = n.alloc.Prefill(core, pages)
 		n.queues[core] = q
 	}
 	return q
@@ -579,18 +580,17 @@ func (n *NIC) ReceiveFromWire(f *skb.Frame) {
 	// DMA: attach pages and, if the memory lands on the NIC-local node
 	// with DCA enabled, push the lines into the L3 (DDIO).
 	need := n.alloc.PagesFor(f.Len)
-	if need > len(q.stash) {
+	if short := need - q.stash.Len(); short > 0 {
 		// Stash exhausted (replenish lag): emergency refill with no CPU
 		// cost attribution (the DMA engine stalls, not the CPU).
-		q.stash = append(q.stash, n.alloc.Alloc(cpumodel.Discard{}, q.core, need-len(q.stash))...)
+		n.alloc.Restock(cpumodel.Discard{}, q.core, short, &q.stash)
 	}
 	if cap(f.Pages) >= need {
 		f.Pages = f.Pages[:need]
 	} else {
 		f.Pages = make([]mem.Page, need)
 	}
-	copy(f.Pages, q.stash[len(q.stash)-need:])
-	q.stash = q.stash[:len(q.stash)-need]
+	q.stash.Pop(f.Pages)
 	q.stashDeficit += need
 	q.descDeficit++
 	if n.dca != nil {
@@ -731,7 +731,7 @@ func (q *rxQueue) poll(ctx *exec.Ctx) {
 	// restock exactly the pages DMA took from the stash.
 	if consumed > 0 {
 		if q.stashDeficit > 0 {
-			q.stash = n.alloc.AppendAlloc(ctx, q.core, q.stashDeficit, q.stash)
+			n.alloc.Restock(ctx, q.core, q.stashDeficit, &q.stash)
 			n.alloc.DMAMap(ctx, q.stashDeficit)
 			q.stashDeficit = 0
 		}

@@ -86,7 +86,10 @@ func (s *Sampler) Count() int { return len(s.times) }
 // Evicted returns how many samples the ring has discarded.
 func (s *Sampler) Evicted() int64 { return s.evicted }
 
-// Timeline copies the retained samples, oldest first, into a Timeline.
+// Timeline returns the retained samples, oldest first, as a Timeline.
+// Full-width rows are shared with the sampler, which never writes a row
+// after taking it (a new sample replaces the ring slot's row instead), so
+// the Timeline's rows are read-only.
 func (s *Sampler) Timeline() *Timeline {
 	t := &Timeline{
 		Names: s.reg.Names(),
@@ -95,12 +98,13 @@ func (s *Sampler) Timeline() *Timeline {
 	}
 	appendFrom := func(i int) {
 		t.Times = append(t.Times, s.times[i].Duration())
-		row := make([]float64, len(s.rows[i]))
-		copy(row, s.rows[i])
+		row := s.rows[i]
 		// Rows sampled before later metric registrations are shorter;
-		// pad so every row has one column per name.
-		for len(row) < len(t.Names) {
-			row = append(row, 0)
+		// pad a copy so every row has one column per name.
+		if len(row) < len(t.Names) {
+			padded := make([]float64, len(t.Names))
+			copy(padded, row)
+			row = padded
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -121,7 +125,8 @@ func (s *Sampler) Timeline() *Timeline {
 
 // Timeline is a sampled multi-metric timeseries: one column per metric
 // name, one row per sample instant (simulated time since the start of the
-// run), oldest first.
+// run), oldest first. A Timeline from Sampler.Timeline shares its rows
+// with the sampler; treat them as read-only.
 type Timeline struct {
 	Names []string
 	Times []time.Duration

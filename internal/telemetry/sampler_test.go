@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +144,30 @@ func TestTimelinePadsEarlyRows(t *testing.T) {
 	}
 	if tl.Rows[0][1] != 0 || tl.Rows[2][1] != 7 {
 		t.Errorf("padded rows wrong: %v", tl.Rows)
+	}
+}
+
+// Timeline shares the sampler's rows, so it must stay a stable snapshot:
+// two calls agree, and later samples (including ones that overwrite the
+// ring slots an earlier Timeline read) leave the earlier Timeline as it
+// was.
+func TestTimelineIsStableAcrossSamples(t *testing.T) {
+	eng, s, _ := newSampled(t, 350*time.Microsecond, 4) // samples at 0..300µs
+	first, again := s.Timeline(), s.Timeline()
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("two Timeline calls differ:\n%+v\n%+v", first, again)
+	}
+	want := &Timeline{Names: first.Names, Times: slices.Clone(first.Times)}
+	for _, row := range first.Rows {
+		want.Rows = append(want.Rows, slices.Clone(row))
+	}
+	eng.Run(sim.Time(time.Millisecond)) // six more samples wrap the ring
+	s.Sample()
+	if !reflect.DeepEqual(first, want) {
+		t.Errorf("later samples changed an earlier Timeline:\ngot  %+v\nwant %+v", first, want)
+	}
+	if later := s.Timeline(); reflect.DeepEqual(later.Rows, first.Rows) {
+		t.Error("the later Timeline should see the newer samples")
 	}
 }
 
