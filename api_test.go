@@ -26,6 +26,8 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		{"rpc no size", Config{Stack: AllOptimizations()}, Workload{Kind: "rpc", RPCClients: 4}},
 		{"remote multi-flow", Config{Stack: AllOptimizations()},
 			Workload{Kind: "long", Pattern: PatternIncast, N: 4, RemoteNUMA: true}},
+		{"negative warmup", Config{Stack: AllOptimizations(), Warmup: -time.Millisecond}, LongFlowWorkload(PatternSingle, 1)},
+		{"negative duration", Config{Stack: AllOptimizations(), Duration: -time.Millisecond}, LongFlowWorkload(PatternSingle, 1)},
 	}
 	for _, c := range cases {
 		if _, err := Run(c.cfg, c.wl); err == nil {

@@ -159,16 +159,9 @@ type Config struct {
 	LinkGbps  int           // access link bandwidth; 0 = the testbed's 100
 	LossRate  float64       // random drop probability at the switch
 	ECNMarkKB int           // ECN marking threshold in KB (0 = off; for DCTCP)
-	Warmup    time.Duration // excluded from measurement; 0 = 20ms
-	Duration  time.Duration // measurement window; 0 = 30ms
+	Warmup    time.Duration // excluded from measurement; 0 = 20ms; negative is an error
+	Duration  time.Duration // measurement window; 0 = 30ms; negative is an error
 	Seed      int64         // RNG seed; runs are deterministic per seed
-
-	// Scheduler selects the simulation engine's event scheduler: "wheel"
-	// (hierarchical timing wheel, the default) or "heap" (binary heap,
-	// the reference implementation). The two produce byte-identical
-	// results on every workload; the knob exists for differential testing
-	// and benchmarking. "" means "wheel".
-	Scheduler string
 
 	// TraceEvents, when positive, records the most recent N data-path
 	// events (writes, segments, deliveries, acks, retransmissions, NIC
@@ -826,6 +819,9 @@ func (r *Result) WriteChromeTrace(w io.Writer) error {
 
 // Run executes one simulation and reports the measured window.
 func Run(cfg Config, wl Workload) (*Result, error) {
+	if cfg.Warmup < 0 || cfg.Duration < 0 {
+		return nil, fmt.Errorf("hostsim: negative Warmup %v or Duration %v", cfg.Warmup, cfg.Duration)
+	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 20 * time.Millisecond
 	}
@@ -852,15 +848,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		return nil, err
 	}
 
-	sched := cfg.Scheduler
-	if sched == "" {
-		sched = sim.SchedWheel
-	}
-	if sched != sim.SchedWheel && sched != sim.SchedHeap {
-		return nil, fmt.Errorf("hostsim: unknown Scheduler %q (want %q or %q)",
-			cfg.Scheduler, sim.SchedWheel, sim.SchedHeap)
-	}
-	eng := sim.NewEngineSched(cfg.Seed, sched)
+	eng := sim.NewEngine(cfg.Seed)
 	costs := cpumodel.Default()
 	// Apply cost scales in sorted-key order so a bad map reports the
 	// same first error on every run.

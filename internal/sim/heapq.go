@@ -1,30 +1,26 @@
 package sim
 
-// heapSched is the reference scheduler: a hand-rolled binary min-heap
-// ordered by (at, seq). O(log n) per operation. It exists as the simple,
-// obviously-correct implementation the wheel is differentially tested
-// against (SchedHeap), and costs nothing when unused.
-type heapSched struct {
-	q []*event
-}
+// eventHeap is the engine's pending-event queue: a hand-rolled binary
+// min-heap ordered by (at, seq), O(log n) per operation. Each pending
+// event records its own index, so Stop and Reset reach it directly; the
+// index is -1 once the event leaves the heap.
+type eventHeap []*event
 
-func (h *heapSched) len() int { return len(h.q) }
-
-func (h *heapSched) less(i, j int) bool {
-	a, b := h.q[i], h.q[j]
+func (h eventHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (h *heapSched) swap(i, j int) {
-	h.q[i], h.q[j] = h.q[j], h.q[i]
-	h.q[i].idx = int32(i)
-	h.q[j].idx = int32(j)
+func (h eventHeap) swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = int32(i)
+	h[j].idx = int32(j)
 }
 
-func (h *heapSched) up(i int) {
+func (h eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -35,8 +31,8 @@ func (h *heapSched) up(i int) {
 	}
 }
 
-func (h *heapSched) down(i int) {
-	n := len(h.q)
+func (h eventHeap) down(i int) {
+	n := len(h)
 	for {
 		left := 2*i + 1
 		if left >= n {
@@ -54,40 +50,41 @@ func (h *heapSched) down(i int) {
 	}
 }
 
-func (h *heapSched) schedule(ev *event) {
-	ev.loc = locHeap
-	ev.idx = int32(len(h.q))
-	h.q = append(h.q, ev)
-	h.up(len(h.q) - 1)
+// fix restores heap order after the event at index i changed its key.
+func (h eventHeap) fix(i int) {
+	h.down(i)
+	h.up(i)
 }
 
-func (h *heapSched) unschedule(ev *event) {
-	i := int(ev.idx)
-	last := len(h.q) - 1
-	if i != last {
-		h.swap(i, last)
-	}
-	h.q[last] = nil
-	h.q = h.q[:last]
-	if i != last {
-		h.down(i)
-		h.up(i)
-	}
-	ev.loc = locNone
+func (h *eventHeap) push(ev *event) {
+	ev.idx = int32(len(*h))
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
 }
 
-func (h *heapSched) popBefore(limit Time) *event {
-	if len(h.q) == 0 || h.q[0].at >= limit {
+// remove takes the pending event ev out of the heap.
+func (h *eventHeap) remove(ev *event) {
+	q := *h
+	i, last := int(ev.idx), len(q)-1
+	if i != last {
+		q.swap(i, last)
+	}
+	q[last] = nil
+	*h = q[:last]
+	if i != last {
+		h.fix(i)
+	}
+	ev.idx = -1
+}
+
+// popBefore removes and returns the earliest pending event by (at, seq),
+// or nil if the heap is empty or the earliest event is at or past limit.
+func (h *eventHeap) popBefore(limit Time) *event {
+	q := *h
+	if len(q) == 0 || q[0].at >= limit {
 		return nil
 	}
-	ev := h.q[0]
-	last := len(h.q) - 1
-	if last > 0 {
-		h.swap(0, last)
-	}
-	h.q[last] = nil
-	h.q = h.q[:last]
-	h.down(0)
-	ev.loc = locNone
+	ev := q[0]
+	h.remove(ev)
 	return ev
 }

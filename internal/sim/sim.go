@@ -1,21 +1,13 @@
 // Package sim implements the discrete-event simulation engine at the heart
 // of hostsim.
 //
-// The engine owns a virtual clock (nanosecond resolution), a pluggable
-// event scheduler, and a seeded random source. Everything in a simulation
-// — packet arrivals, CPU work completions, timers — is an event. The
-// engine is strictly single-threaded and deterministic: events at the same
-// timestamp fire in scheduling order, and all randomness flows from the
-// engine's seed.
-//
-// Two scheduler implementations exist behind one contract (dispatch in
-// (time, scheduling-sequence) order):
-//
-//   - SchedWheel (the default): a hierarchical timing wheel with an
-//     overflow ladder — amortized O(1) schedule/cancel/expire, same-tick
-//     events dispatched as a seq-sorted batch. See wheel.go.
-//   - SchedHeap: the classic binary heap, O(log n) per operation. Kept as
-//     the differential-testing reference; see heapq.go.
+// The engine owns a virtual clock (nanosecond resolution), a binary-heap
+// event queue ordered by (time, scheduling sequence), and a seeded random
+// source. Everything in a simulation — packet arrivals, CPU work
+// completions, timers — is an event. The engine is strictly
+// single-threaded and deterministic: events fire in strictly ascending
+// (time, sequence) order, so events at the same timestamp fire in
+// scheduling order, and all randomness flows from the engine's seed.
 //
 // The scheduling fast path is allocation-free in steady state: fired and
 // stopped events return to a per-engine free list, Timer.Reset reschedules
@@ -45,23 +37,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Scheduler kinds accepted by NewEngineSched.
-const (
-	SchedWheel = "wheel" // hierarchical timing wheel + overflow ladder (default)
-	SchedHeap  = "heap"  // binary heap (reference implementation)
-)
-
-// location says where a pending event currently lives. Values 0 through
-// numLevels-1 are wheel levels; the named values cover everything else.
-type location int8
-
-const (
-	locNone     location = -1            // not pending: fired, stopped, or never scheduled
-	locOverflow location = numLevels     // wheel overflow ladder
-	locBatch    location = numLevels + 1 // wheel same-tick dispatch batch
-	locHeap     location = numLevels + 2 // binary-heap queue
-)
-
 // An event is a callback scheduled at a time. seq breaks timestamp ties in
 // FIFO order so the simulation is deterministic; it also doubles as the
 // generation guard that keeps stale Timer handles from touching a pooled
@@ -76,25 +51,7 @@ type event struct {
 	fn  func()
 	fnA func(any)
 	arg any
-	loc location // where the event lives; locNone once popped or cancelled
-	idx int32    // index within its container (heap, bucket, batch, or overflow)
-}
-
-// scheduler is the pending-event store. Both implementations dispatch in
-// strictly ascending (at, seq) order; the engine owns now, seq assignment
-// and the free list.
-type scheduler interface {
-	schedule(*event)   // insert a pending event (at, seq set)
-	unschedule(*event) // remove a pending event (Stop, Reset)
-	// popBefore removes and returns the earliest pending event by
-	// (at, seq), or nil if the queue is empty or the earliest event is at
-	// or past limit. The wheel implementation relies on limit for
-	// correctness: it never advances its internal clock floor past a
-	// returned limit, which keeps every future schedule (at >= now) ahead
-	// of the floor. Consequently Run horizons must not move backward
-	// across calls; hostsim's warmup-then-measure horizons are monotone.
-	popBefore(limit Time) *event
-	len() int
+	idx int32 // index in the engine's heap; -1 once popped or cancelled
 }
 
 // Timer is a handle to a scheduled event that may be cancelled or
@@ -109,7 +66,7 @@ type Timer struct {
 // valid reports whether the handle still refers to its own live event
 // (pending in the queue, not fired, not recycled).
 func (t *Timer) valid() bool {
-	return t != nil && t.e != nil && t.e.seq == t.seq && t.e.loc != locNone
+	return t != nil && t.e != nil && t.e.seq == t.seq && t.e.idx >= 0
 }
 
 // Stop cancels the timer. It reports whether the timer was pending (false
@@ -124,7 +81,7 @@ func (t *Timer) Stop() bool {
 		t.e = nil
 		return false
 	}
-	t.eng.sched.unschedule(t.e)
+	t.eng.q.remove(t.e)
 	t.eng.release(t.e)
 	t.e = nil
 	return true
@@ -143,7 +100,7 @@ func (t *Timer) When() Time {
 }
 
 // Reset reschedules a pending timer to fire at absolute time at, keeping
-// its callback. The event is re-placed without allocation. Like a fresh
+// its callback. The event is re-keyed in place in the heap. Like a fresh
 // schedule, the reset timer moves to the back of the FIFO tie-break order
 // at its new timestamp. Reset reports whether the timer was pending; a
 // fired or stopped timer cannot be revived — schedule a new one instead.
@@ -156,12 +113,11 @@ func (t *Timer) Reset(at Time) bool {
 		panic(fmt.Sprintf("sim: resetting timer to %v before now %v", at, eng.now))
 	}
 	ev := t.e
-	eng.sched.unschedule(ev)
 	ev.at = at
 	ev.seq = eng.seq
 	eng.seq++
 	t.seq = ev.seq
-	eng.sched.schedule(ev)
+	eng.q.fix(int(ev.idx))
 	return true
 }
 
@@ -172,29 +128,13 @@ type Engine struct {
 	rng    *rand.Rand
 	fired  uint64
 	halted bool
-	sched  scheduler
+	q      eventHeap
 	free   []*event // recycled event structs (steady-state scheduling is allocation-free)
 }
 
-// NewEngine returns an engine whose random source is seeded with seed,
-// using the default wheel scheduler.
-func NewEngine(seed int64) *Engine { return NewEngineSched(seed, SchedWheel) }
-
-// NewEngineSched returns an engine using the named scheduler kind
-// (SchedWheel or SchedHeap). The two kinds dispatch any workload in an
-// identical order; heap is retained as the differential-testing reference.
-// Unknown kinds panic.
-func NewEngineSched(seed int64, kind string) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	switch kind {
-	case SchedWheel:
-		e.sched = newWheel()
-	case SchedHeap:
-		e.sched = &heapSched{}
-	default:
-		panic(fmt.Sprintf("sim: unknown scheduler kind %q", kind))
-	}
-	return e
+// NewEngine returns an engine whose random source is seeded with seed.
+func NewEngine(seed int64) *Engine {
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulated time.
@@ -204,7 +144,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return e.sched.len() }
+func (e *Engine) Pending() int { return len(e.q) }
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -216,17 +156,16 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{loc: locNone}
+	return &event{idx: -1}
 }
 
 // release returns a fired or cancelled event to the free list. The seq it
 // carries stays in place until the struct is reused, so stale Timer
-// handles see locNone (not pending) now and a mismatched seq later.
+// handles see idx -1 (not pending) now and a mismatched seq later.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.fnA = nil
 	ev.arg = nil
-	ev.loc = locNone
 	e.free = append(e.free, ev)
 }
 
@@ -241,7 +180,7 @@ func (e *Engine) scheduleAt(t Time, fn func(), fnA func(any), arg any) Timer {
 	ev.fnA = fnA
 	ev.arg = arg
 	e.seq++
-	e.sched.schedule(ev)
+	e.q.push(ev)
 	return Timer{e: ev, eng: e, seq: ev.seq}
 }
 
@@ -291,15 +230,15 @@ func (e *Engine) Halt() { e.halted = true }
 // not run, so a run to horizon H observes the half-open interval [0, H).
 func (e *Engine) Run(horizon Time) Time {
 	e.halted = false
-	for e.sched.len() > 0 && !e.halted {
-		ev := e.sched.popBefore(horizon)
+	for len(e.q) > 0 && !e.halted {
+		ev := e.q.popBefore(horizon)
 		if ev == nil {
 			e.now = horizon
 			return e.now
 		}
 		e.dispatch(ev)
 	}
-	if e.now < horizon && e.sched.len() == 0 {
+	if e.now < horizon && len(e.q) == 0 {
 		// Queue drained before the horizon: time still advances to it so
 		// rate metrics divide by the full window.
 		e.now = horizon
@@ -309,7 +248,7 @@ func (e *Engine) Run(horizon Time) Time {
 
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
-	ev := e.sched.popBefore(maxTime)
+	ev := e.q.popBefore(maxTime)
 	if ev == nil {
 		return false
 	}

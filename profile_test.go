@@ -223,6 +223,8 @@ func benchProfile(b *testing.B, cfg hostsim.Config) {
 }
 
 // BenchmarkProfileOff/On measure the end-to-end cost of the profiler on
-// a full run — `make bench-profile` records the pair to BENCH_profile.json.
+// a full run. simbench's mixed-observed workload runs with the profiler
+// armed; its traced run (`--trace 1`) reports the profiler's share as
+// cpu_ms.profile.
 func BenchmarkProfileOff(b *testing.B) { benchProfile(b, shortCfg(1)) }
 func BenchmarkProfileOn(b *testing.B)  { benchProfile(b, profCfg(1)) }
