@@ -79,7 +79,9 @@ fabric-smoke:
 # fabricobs-smoke is the CI fabric-observability gate: the observatory's
 # unit tests and the root transparency/reconciliation properties under
 # the race detector, then an end-to-end netsim run emitting all three
-# artifacts, re-validated with the in-repo fabcheck checker.
+# artifacts, re-validated with the in-repo fabcheck checker. The same run
+# writes the host+fabric telemetry timeline, whose every line must have
+# the header's field count.
 fabricobs-smoke:
 	$(GO) test -race -count=1 ./internal/fabricobs
 	$(GO) test -race -count=1 -run 'TestFabricObsTransparency|TestFabricObsLedgerReconciliation|TestFabricObsRejects' .
@@ -87,8 +89,11 @@ fabricobs-smoke:
 		-dur 10ms -warmup 5ms -check -burst-kb 64 \
 		-fabric-report /tmp/hostsim-smoke.fab.csv \
 		-fabric-ts-out /tmp/hostsim-smoke.fabts.csv \
-		-fabric-trace-out /tmp/hostsim-smoke.fab.json > /dev/null
+		-fabric-trace-out /tmp/hostsim-smoke.fab.json \
+		-telemetry-out /tmp/hostsim-smoke.tel.csv > /dev/null
 	$(GO) run ./cmd/fabcheck /tmp/hostsim-smoke.fab.csv /tmp/hostsim-smoke.fabts.csv
+	awk -F, 'NR == 1 { n = NF } NF != n { print FILENAME ":" NR ": " NF " fields, header has " n; bad = 1 } \
+		END { if (NR < 2) { print FILENAME ": no samples"; bad = 1 }; exit bad }' /tmp/hostsim-smoke.tel.csv
 
 figures:
 	$(GO) run ./cmd/figures

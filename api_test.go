@@ -28,12 +28,27 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 			Workload{Kind: "long", Pattern: PatternIncast, N: 4, RemoteNUMA: true}},
 		{"negative warmup", Config{Stack: AllOptimizations(), Warmup: -time.Millisecond}, LongFlowWorkload(PatternSingle, 1)},
 		{"negative duration", Config{Stack: AllOptimizations(), Duration: -time.Millisecond}, LongFlowWorkload(PatternSingle, 1)},
+		{"duplicate host names, telemetry", namedHosts(Config{Telemetry: &Telemetry{}}, "a", "a", "b"), LongFlowWorkload(PatternIncast, 0)},
+		{"duplicate host names, ss", namedHosts(Config{Inspect: &InspectOptions{SS: true}}, "a", "a", "b"), LongFlowWorkload(PatternIncast, 0)},
+		{"comma in host name", namedHosts(Config{Telemetry: &Telemetry{}}, "a,b", "c"), LongFlowWorkload(PatternIncast, 0)},
+		{"quote in host name", namedHosts(Config{Telemetry: &Telemetry{}}, `a"b`, "c"), LongFlowWorkload(PatternIncast, 0)},
+		{"newline in host name", namedHosts(Config{Telemetry: &Telemetry{}}, "a\nb", "c"), LongFlowWorkload(PatternIncast, 0)},
+		{"slash in host name, ss", namedHosts(Config{Inspect: &InspectOptions{SS: true}}, "a", "a/core00", "b"), LongFlowWorkload(PatternIncast, 0)},
 	}
 	for _, c := range cases {
 		if _, err := Run(c.cfg, c.wl); err == nil {
 			t.Errorf("%s: expected an error", c.name)
 		}
 	}
+}
+
+// namedHosts arms cfg with a short fabric run over hosts with the given
+// names.
+func namedHosts(cfg Config, names ...string) Config {
+	cfg.Stack = AllOptimizations()
+	cfg.Warmup, cfg.Duration = time.Millisecond, time.Millisecond
+	cfg.Fabric = &FabricOptions{Hosts: len(names), HostNames: names}
+	return cfg
 }
 
 func TestRunDefaultsWindows(t *testing.T) {

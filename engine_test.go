@@ -30,6 +30,13 @@ func TestRunAllocationBudget(t *testing.T) {
 		Fabric: &hostsim.FabricOptions{Hosts: 64, SharedBufferKB: 16384},
 	}
 	fab.Stack.CC = "dctcp"
+	// The observed row arms the timeline and the fabric observatory over
+	// the same run: ≈8k timeline columns, whose registration cost one
+	// closure and one name string per column before columns were
+	// registered in blocks (≈42k objects and 9.7 MB per run then).
+	obs := fab
+	obs.Telemetry = &hostsim.Telemetry{}
+	obs.FabricObs = &hostsim.FabricObsOptions{}
 	for _, tc := range []struct {
 		name    string
 		cfg     hostsim.Config
@@ -39,6 +46,7 @@ func TestRunAllocationBudget(t *testing.T) {
 	}{
 		{"pair", benchRunCfg(), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1), 1300, 0.5e6},
 		{"fabric-incast64", fab, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 30000, 8e6},
+		{"fabric-incast64-observed", obs, hostsim.LongFlowWorkload(hostsim.PatternIncast, 0), 32000, 9.2e6},
 	} {
 		objects, bytes := allocsPerRun(3, func() {
 			if _, err := hostsim.Run(tc.cfg, tc.wl); err != nil {

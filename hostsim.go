@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"hostsim/internal/check"
@@ -292,10 +293,17 @@ type FabricOptions struct {
 	// Alpha is the dynamic-threshold scale factor (0 = 1.0).
 	Alpha float64
 	// HostNames overrides the default host00..hostNN naming; must be
-	// empty or exactly Hosts entries. Names label stats and traces only —
-	// relabeling never changes the physics.
+	// empty or exactly Hosts distinct entries, none containing a comma, a
+	// double quote, a line break or a '/' (names head timeline columns
+	// and CSV fields). Names label stats and traces only — relabeling
+	// never changes the physics.
 	HostNames []string
 }
+
+// hostNameBanned lists the characters a Fabric.HostNames entry may not
+// contain: CSV field and record separators, the quote, and the '/' that
+// separates the parts of a timeline column name.
+const hostNameBanned = ",\"\r\n/"
 
 // FabricObsOptions configures the fabric observatory (see
 // Config.FabricObs). The zero value samples every 100µs into a
@@ -894,6 +902,16 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		}
 		if len(fo.HostNames) != 0 && len(fo.HostNames) != fo.Hosts {
 			return nil, fmt.Errorf("hostsim: %d Fabric.HostNames for %d hosts", len(fo.HostNames), fo.Hosts)
+		}
+		seen := make(map[string]bool, len(fo.HostNames))
+		for _, name := range fo.HostNames {
+			if seen[name] {
+				return nil, fmt.Errorf("hostsim: duplicate Fabric.HostNames entry %q", name)
+			}
+			seen[name] = true
+			if strings.ContainsAny(name, hostNameBanned) {
+				return nil, fmt.Errorf("hostsim: Fabric.HostNames entry %q contains one of %q", name, hostNameBanned)
+			}
 		}
 		hosts = make([]*core.Host, fo.Hosts)
 		for i := range hosts {

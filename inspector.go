@@ -86,8 +86,7 @@ func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, tap
 			name := h.Name()
 			h.ForEachEndpoint(func(ep *core.Endpoint) {
 				flow := ep.TxFlow()
-				prefix := fmt.Sprintf("%s/flow%03d/", name, flow)
-				ep.Conn().AddProbe(rtt.Watch(reg, prefix, flow))
+				ep.Conn().AddProbe(rtt.Watch(reg, telemetry.Prefix(name+"/", "flow", int(flow), 3), flow))
 			})
 		}
 		insp.sampler = telemetry.NewSampler(eng, reg, interval, maxSamples)

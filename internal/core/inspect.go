@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"hostsim/internal/telemetry"
-)
+import "hostsim/internal/telemetry"
 
 // ForEachEndpoint visits the host's local sender endpoints in tx-flow
 // order — the same deterministic iteration the invariant checker uses —
@@ -15,6 +11,16 @@ func (h *Host) ForEachEndpoint(fn func(*Endpoint)) {
 		fn(ep)
 	}
 }
+
+// Column blocks of the socket-snapshot timeline, shared by every host.
+// RTT-class columns report nanoseconds, the repo-wide latency unit (see
+// package stage) shared with the passive RTT monitor's rtt_*_ns columns
+// and the tail report.
+var (
+	backlogCols = []string{"softirq_backlog"}
+	socketCols  = []string{"cwnd_bytes", "ssthresh_bytes", "srtt_ns", "rto_ns", "inflight_bytes",
+		"qdisc_bytes", "sndbuf_free_bytes", "rcvbuf_bytes", "recvq_bytes", "ooo_segments", "retransmits"}
+)
 
 // RegisterInspect registers the host's `ss -i`-style socket and queue
 // gauges into reg, prefixed with the host name: per-flow TCP state (cwnd,
@@ -32,28 +38,26 @@ func (h *Host) RegisterInspect(reg *telemetry.Registry) {
 		h.NIC.RegisterQueueTelemetry(reg, p+"nic/")
 	}
 	sys := h.Sys
-	reg.Gauge(p+"softirq_backlog", func() float64 { return float64(sys.SoftirqBacklogTotal()) })
+	reg.Group(p, backlogCols, func(dst []float64) { dst[0] = float64(sys.SoftirqBacklogTotal()) })
 	for i := 0; i < h.spec.NumCores(); i++ {
 		c := sys.Core(i)
-		reg.Gauge(fmt.Sprintf("%score%02d/softirq_backlog", p, i),
-			func() float64 { return float64(c.SoftirqBacklog()) })
+		reg.Group(telemetry.Prefix(p, "core", i, 2), backlogCols,
+			func(dst []float64) { dst[0] = float64(c.SoftirqBacklog()) })
 	}
 	for _, ep := range sortedEndpoints(h) {
 		conn := ep.conn
-		fp := fmt.Sprintf("%sflow%03d/", p, ep.txFlow)
-		reg.Gauge(fp+"cwnd_bytes", func() float64 { return float64(conn.CC().Cwnd()) })
-		reg.Gauge(fp+"ssthresh_bytes", func() float64 { return float64(conn.CC().Ssthresh()) })
-		// RTT-class gauges report nanoseconds, the repo-wide latency unit
-		// (see package stage) shared with the passive RTT monitor's
-		// rtt_*_ns gauges and the tail report.
-		reg.Gauge(fp+"srtt_ns", func() float64 { return float64(conn.SRTT().Nanoseconds()) })
-		reg.Gauge(fp+"rto_ns", func() float64 { return float64(conn.RTO().Nanoseconds()) })
-		reg.Gauge(fp+"inflight_bytes", func() float64 { return float64(conn.InFlight()) })
-		reg.Gauge(fp+"qdisc_bytes", func() float64 { return float64(conn.InQdisc()) })
-		reg.Gauge(fp+"sndbuf_free_bytes", func() float64 { return float64(conn.SndBufFree()) })
-		reg.Gauge(fp+"rcvbuf_bytes", func() float64 { return float64(conn.RcvBuf()) })
-		reg.Gauge(fp+"recvq_bytes", func() float64 { return float64(conn.Readable()) })
-		reg.Gauge(fp+"ooo_segments", func() float64 { return float64(conn.OOOLen()) })
-		reg.Gauge(fp+"retransmits", func() float64 { return float64(conn.Stats().Retransmits) })
+		reg.Group(telemetry.Prefix(p, "flow", int(ep.txFlow), 3), socketCols, func(dst []float64) {
+			dst[0] = float64(conn.CC().Cwnd())
+			dst[1] = float64(conn.CC().Ssthresh())
+			dst[2] = float64(conn.SRTT().Nanoseconds())
+			dst[3] = float64(conn.RTO().Nanoseconds())
+			dst[4] = float64(conn.InFlight())
+			dst[5] = float64(conn.InQdisc())
+			dst[6] = float64(conn.SndBufFree())
+			dst[7] = float64(conn.RcvBuf())
+			dst[8] = float64(conn.Readable())
+			dst[9] = float64(conn.OOOLen())
+			dst[10] = float64(conn.Stats().Retransmits)
+		})
 	}
 }

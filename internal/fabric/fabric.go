@@ -305,6 +305,12 @@ func (fb *Fabric) Totals() FabricTotals {
 	return t
 }
 
+// Column blocks of the switch's timeline groups.
+var (
+	occupancyCols = []string{"occupancy_bytes"}
+	portCols      = []string{"backlog_bytes", "in_frames", "buf_dropped", "wire_dropped", "marked", "delivered"}
+)
+
 // RegisterTelemetry registers the switch's shared-buffer occupancy and
 // per-port gauges (egress backlog plus the cumulative ingress/egress
 // counters) into reg under prefix, e.g. "fabric/port003/backlog_bytes".
@@ -314,15 +320,17 @@ func (fb *Fabric) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	reg.Gauge(prefix+"occupancy_bytes", func() float64 { return float64(fb.Occupancy()) })
+	reg.Group(prefix, occupancyCols, func(dst []float64) { dst[0] = float64(fb.Occupancy()) })
 	for _, p := range fb.ports {
 		p := p
-		pp := fmt.Sprintf("%sport%03d/", prefix, p.id)
-		reg.Gauge(pp+"backlog_bytes", func() float64 { return float64(p.out.Backlog()) })
-		reg.Gauge(pp+"in_frames", func() float64 { return float64(p.stats.In) })
-		reg.Gauge(pp+"buf_dropped", func() float64 { return float64(p.stats.BufDropped) })
-		reg.Gauge(pp+"wire_dropped", func() float64 { return float64(p.out.Stats().Dropped) })
-		reg.Gauge(pp+"marked", func() float64 { return float64(p.out.Stats().Marked) })
-		reg.Gauge(pp+"delivered", func() float64 { return float64(p.out.Stats().Delivered) })
+		reg.Group(telemetry.Prefix(prefix, "port", p.id, 3), portCols, func(dst []float64) {
+			st := p.out.Stats()
+			dst[0] = float64(p.out.Backlog())
+			dst[1] = float64(p.stats.In)
+			dst[2] = float64(p.stats.BufDropped)
+			dst[3] = float64(st.Dropped)
+			dst[4] = float64(st.Marked)
+			dst[5] = float64(st.Delivered)
+		})
 	}
 }

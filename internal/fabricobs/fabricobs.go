@@ -395,43 +395,41 @@ func topFlows(flows map[skb.FlowID]int64, k int) []FlowFrames {
 	return out
 }
 
+// Column blocks of the observatory's private timeline.
+var (
+	occupancyCols = []string{"occupancy_bytes"}
+	portCols      = []string{"backlog_bytes", "utilization", "ecn_marks_per_s", "admission_drops", "wire_drops"}
+)
+
 // registerTimeline builds the private registry: the shared-buffer
 // occupancy plus, per port, the egress backlog, interval-rate utilization
 // and ECN-mark rate, and the cumulative drop counters.
 func (o *Observer) registerTimeline() {
 	o.reg = telemetry.NewRegistry()
-	o.reg.Gauge("occupancy_bytes", func() float64 { return float64(o.fab.Occupancy()) })
+	o.reg.Group("", occupancyCols, func(dst []float64) { dst[0] = float64(o.fab.Occupancy()) })
 	rate := o.fab.Config().LinkRate
 	for _, ps := range o.ports {
 		ps := ps
-		pp := fmt.Sprintf("port%03d/", ps.id)
-		o.reg.Gauge(pp+"backlog_bytes", func() float64 { return float64(ps.out.Backlog()) })
-		o.reg.Gauge(pp+"utilization", func() float64 {
+		o.reg.Group(telemetry.Prefix("", "port", ps.id, 3), portCols, func(dst []float64) {
 			now := o.eng.Now()
+			st := ps.out.Stats()
+			dst[0] = float64(ps.out.Backlog())
+			// The two rates cover the interval since this port's
+			// previous sample.
 			tx := ps.onWire()
-			var u float64
+			dst[1] = 0
 			if dt := now - ps.utilT; dt > 0 {
-				u = float64((tx - ps.utilTx).Bits()) * float64(time.Second) /
+				dst[1] = float64((tx - ps.utilTx).Bits()) * float64(time.Second) /
 					(float64(dt) * float64(rate))
 			}
 			ps.utilT, ps.utilTx = now, tx
-			return u
-		})
-		o.reg.Gauge(pp+"ecn_marks_per_s", func() float64 {
-			now := o.eng.Now()
-			n := ps.out.Stats().Marked
-			var r float64
+			dst[2] = 0
 			if dt := now - ps.markT; dt > 0 {
-				r = float64(n-ps.markN) * float64(time.Second) / float64(dt)
+				dst[2] = float64(st.Marked-ps.markN) * float64(time.Second) / float64(dt)
 			}
-			ps.markT, ps.markN = now, n
-			return r
-		})
-		o.reg.Gauge(pp+"admission_drops", func() float64 {
-			return float64(ps.port.Stats().BufDropped)
-		})
-		o.reg.Gauge(pp+"wire_drops", func() float64 {
-			return float64(ps.out.Stats().Dropped)
+			ps.markT, ps.markN = now, st.Marked
+			dst[3] = float64(ps.port.Stats().BufDropped)
+			dst[4] = float64(st.Dropped)
 		})
 	}
 }

@@ -404,23 +404,32 @@ func (n *NIC) PostedBounds() (lo, hi int) {
 	return lo, hi
 }
 
+// Column blocks of the NIC's timeline groups, shared by every NIC.
+var (
+	telemetryCols = []string{"ring_occupancy", "rx_frames", "rx_dropped", "tx_frames", "irqs",
+		"napi_polls", "gro_avg_frames"}
+	queueCols = []string{"ring_occupancy", "rx_backlog_frames", "rx_backlog_bytes", "gro_held_skbs",
+		"gro_held_bytes", "tx_queued_frames", "tx_queued_bytes"}
+)
+
 // RegisterTelemetry registers the NIC's gauges under prefix (e.g.
 // "rx/"). Probes are pure reads; no-op on a nil registry.
 func (n *NIC) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	reg.Gauge(prefix+"ring_occupancy", func() float64 { return float64(n.RingOccupancy()) })
-	reg.Gauge(prefix+"rx_frames", func() float64 { return float64(n.stats.RxFrames) })
-	reg.Gauge(prefix+"rx_dropped", func() float64 { return float64(n.stats.RxDropped) })
-	reg.Gauge(prefix+"tx_frames", func() float64 { return float64(n.stats.TxFrames) })
-	reg.Gauge(prefix+"irqs", func() float64 { return float64(n.stats.IRQs) })
-	reg.Gauge(prefix+"napi_polls", func() float64 { return float64(n.stats.NAPIPolls) })
-	reg.Gauge(prefix+"gro_avg_frames", func() float64 {
-		if n.stats.NAPIPolls == 0 {
-			return 0
+	reg.Group(prefix, telemetryCols, func(dst []float64) {
+		st := &n.stats
+		dst[0] = float64(n.RingOccupancy())
+		dst[1] = float64(st.RxFrames)
+		dst[2] = float64(st.RxDropped)
+		dst[3] = float64(st.TxFrames)
+		dst[4] = float64(st.IRQs)
+		dst[5] = float64(st.NAPIPolls)
+		dst[6] = 0
+		if st.NAPIPolls != 0 {
+			dst[6] = float64(st.RxFrames) / float64(st.NAPIPolls)
 		}
-		return float64(n.stats.RxFrames) / float64(n.stats.NAPIPolls)
 	})
 }
 
@@ -433,13 +442,15 @@ func (n *NIC) RegisterQueueTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	reg.Gauge(prefix+"ring_occupancy", func() float64 { return float64(n.RingOccupancy()) })
-	reg.Gauge(prefix+"rx_backlog_frames", func() float64 { f, _ := n.RxBacklog(); return float64(f) })
-	reg.Gauge(prefix+"rx_backlog_bytes", func() float64 { _, b := n.RxBacklog(); return float64(b) })
-	reg.Gauge(prefix+"gro_held_skbs", func() float64 { s, _ := n.GROHeld(); return float64(s) })
-	reg.Gauge(prefix+"gro_held_bytes", func() float64 { _, b := n.GROHeld(); return float64(b) })
-	reg.Gauge(prefix+"tx_queued_frames", func() float64 { f, _ := n.TxQueued(); return float64(f) })
-	reg.Gauge(prefix+"tx_queued_bytes", func() float64 { _, b := n.TxQueued(); return float64(b) })
+	reg.Group(prefix, queueCols, func(dst []float64) {
+		dst[0] = float64(n.RingOccupancy())
+		f, b := n.RxBacklog()
+		dst[1], dst[2] = float64(f), float64(b)
+		s, b := n.GROHeld()
+		dst[3], dst[4] = float64(s), float64(b)
+		f, b = n.TxQueued()
+		dst[5], dst[6] = float64(f), float64(b)
+	})
 }
 
 // txBatch carries one SendFrames call's frames across the Defer to the

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 	"time"
@@ -89,7 +88,8 @@ func (s *Sampler) Evicted() int64 { return s.evicted }
 // Timeline returns the retained samples, oldest first, as a Timeline.
 // Full-width rows are shared with the sampler, which never writes a row
 // after taking it (a new sample replaces the ring slot's row instead), so
-// the Timeline's rows are read-only.
+// the Timeline's rows are read-only. So are its names, which are the
+// registry's own.
 func (s *Sampler) Timeline() *Timeline {
 	t := &Timeline{
 		Names: s.reg.Names(),
@@ -125,8 +125,8 @@ func (s *Sampler) Timeline() *Timeline {
 
 // Timeline is a sampled multi-metric timeseries: one column per metric
 // name, one row per sample instant (simulated time since the start of the
-// run), oldest first. A Timeline from Sampler.Timeline shares its rows
-// with the sampler; treat them as read-only.
+// run), oldest first. A Timeline from Sampler.Timeline shares its names
+// and rows with the sampler; treat them as read-only.
 type Timeline struct {
 	Names []string
 	Times []time.Duration
@@ -141,44 +141,44 @@ func (t *Timeline) Len() int {
 	return len(t.Times)
 }
 
-// formatValue renders a sample deterministically (shortest round-trip
-// representation, so identical runs produce identical bytes).
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
+// csvChunk is the buffered size at which WriteCSV hands its bytes to the
+// writer.
+const csvChunk = 64 << 10
 
 // WriteCSV writes the timeline as CSV: a header of time_ns plus the
-// metric names, then one row per sample.
+// metric names, then one row per sample. Values use the shortest
+// round-trip representation, so identical runs produce identical bytes.
+// Every cell is appended into one reused buffer, written out in chunks.
 func (t *Timeline) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("time_ns"); err != nil {
+	buf := make([]byte, 0, csvChunk+64)
+	flush := func() error {
+		_, err := w.Write(buf)
+		buf = buf[:0]
 		return err
 	}
+	buf = append(buf, "time_ns"...)
 	for _, n := range t.Names {
-		if _, err := fmt.Fprintf(bw, ",%s", n); err != nil {
-			return err
+		buf = append(append(buf, ','), n...)
+		if len(buf) >= csvChunk {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
 	}
-	if err := bw.WriteByte('\n'); err != nil {
-		return err
-	}
+	buf = append(buf, '\n')
 	for i, at := range t.Times {
-		if _, err := bw.WriteString(strconv.FormatInt(int64(at), 10)); err != nil {
-			return err
-		}
+		buf = strconv.AppendInt(buf, int64(at), 10)
 		for _, v := range t.Rows[i] {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(formatValue(v)); err != nil {
-				return err
+			buf = strconv.AppendFloat(append(buf, ','), v, 'g', -1, 64)
+			if len(buf) >= csvChunk {
+				if err := flush(); err != nil {
+					return err
+				}
 			}
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		buf = append(buf, '\n')
 	}
-	return bw.Flush()
+	return flush()
 }
 
 // WriteJSONL writes the timeline as JSON lines: a header object
