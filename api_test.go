@@ -34,6 +34,19 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		{"quote in host name", namedHosts(Config{Telemetry: &Telemetry{}}, `a"b`, "c"), LongFlowWorkload(PatternIncast, 0)},
 		{"newline in host name", namedHosts(Config{Telemetry: &Telemetry{}}, "a\nb", "c"), LongFlowWorkload(PatternIncast, 0)},
 		{"slash in host name, ss", namedHosts(Config{Inspect: &InspectOptions{SS: true}}, "a", "a/core00", "b"), LongFlowWorkload(PatternIncast, 0)},
+		{"incast n=0", Config{Stack: AllOptimizations()}, LongFlowWorkload(PatternIncast, 0)},
+		{"incast n=100", Config{Stack: AllOptimizations()}, LongFlowWorkload(PatternIncast, 100)},
+		{"one-to-one n=-3", Config{Stack: AllOptimizations()}, LongFlowWorkload(PatternOneToOne, -3)},
+		{"outcast n=100", Config{Stack: AllOptimizations()}, LongFlowWorkload(PatternOutcast, 100)},
+		{"all-to-all n=0", Config{Stack: AllOptimizations()}, LongFlowWorkload(PatternAllToAll, 0)},
+		{"rpc 100 clients", Config{Stack: AllOptimizations()}, RPCIncastWorkload(100, 4096)},
+		{"remote rpc 100 clients", Config{Stack: AllOptimizations()},
+			Workload{Kind: "rpc", RPCClients: 100, RPCSize: 4096, RemoteNUMA: true}},
+		{"mixed negative shorts", Config{Stack: AllOptimizations()}, MixedWorkload(-5, 4096)},
+		{"remote mixed", Config{Stack: AllOptimizations()},
+			Workload{Kind: "mixed", MixedShort: 4, RPCSize: 4096, RemoteNUMA: true}},
+		{"negative ecn", Config{Stack: AllOptimizations(), ECNMarkKB: -1}, LongFlowWorkload(PatternSingle, 1)},
+		{"negative ecn, fabric", namedHosts(Config{ECNMarkKB: -1}, "a", "b"), LongFlowWorkload(PatternIncast, 0)},
 	}
 	for _, c := range cases {
 		if _, err := Run(c.cfg, c.wl); err == nil {

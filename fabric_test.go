@@ -190,13 +190,12 @@ func fabricFingerprint(r *hostsim.Result) string {
 		r.FlowGbps, r.FairnessIndex, r.Hosts, r.Fabric)
 }
 
-// TestFabricIncastN1MatchesDirect is the topology refactor's anchor
-// property: a 2-host fabric with unbounded buffer is event-for-event
-// identical to the direct two-host link, so the 1:1 "incast" must
-// reproduce the direct single-flow run byte for byte. Naming the fabric
-// hosts after the direct pair (receiver on port 0, where incast places
-// the server) makes every field comparable, Bottleneck and Flows
-// included.
+// TestFabricIncastN1MatchesDirect compares the two placement policies on
+// the same 2-host cluster: the default pair's core placement of a single
+// flow and Config.Fabric's host placement of a 1:1 "incast" must produce
+// the same run byte for byte. Naming the fabric hosts after the pair
+// (receiver on port 0, where incast places the server) makes every field
+// comparable, Bottleneck and Flows included.
 func TestFabricIncastN1MatchesDirect(t *testing.T) {
 	direct, err := hostsim.Run(metaCfg(hostsim.AllOptimizations()), hostsim.LongFlowWorkload(hostsim.PatternSingle, 1))
 	if err != nil {
@@ -209,7 +208,7 @@ func TestFabricIncastN1MatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, b := fingerprint(direct), fingerprint(fab); a != b {
-		t.Errorf("2-host fabric diverged from the direct link:\ndirect: %s\nfabric: %s", a, b)
+		t.Errorf("host placement diverged from pair placement:\ndirect: %s\nfabric: %s", a, b)
 	}
 	df, ff := sortFlows(direct.Flows), sortFlows(fab.Flows)
 	if a, b := fmt.Sprintf("%+v", df), fmt.Sprintf("%+v", ff); a != b {

@@ -158,8 +158,8 @@ type Config struct {
 	// and re-checks every paper claim at each point.
 	CostScale map[string]float64
 	LinkGbps  int           // access link bandwidth; 0 = the testbed's 100
-	LossRate  float64       // random drop probability at the switch
-	ECNMarkKB int           // ECN marking threshold in KB (0 = off; for DCTCP)
+	LossRate  float64       // switch drop probability: sender->receiver only on the pair, every egress with Fabric
+	ECNMarkKB int           // ECN marking threshold in KB (0 = off; for DCTCP; negative is an error)
 	Warmup    time.Duration // excluded from measurement; 0 = 20ms; negative is an error
 	Duration  time.Duration // measurement window; 0 = 30ms; negative is an error
 	Seed      int64         // RNG seed; runs are deterministic per seed
@@ -216,17 +216,17 @@ type Config struct {
 	// while capturing. A nil Inspect costs nothing on the hot path.
 	Inspect *InspectOptions
 
-	// Fabric, when non-nil, replaces the direct two-host link with a
-	// single-stage switch fabric (a ToR): Hosts hosts, each attached to
-	// its own port with a per-port egress buffer, an optional shared
-	// buffer pool with dynamic-threshold drops, and per-port ECN marking
-	// (threshold ECNMarkKB, as on the direct link). LossRate applies at
+	// Fabric, when non-nil, sizes the switch fabric (a single-stage ToR):
+	// Hosts hosts, each attached to its own port with a per-port egress
+	// buffer, an optional shared buffer pool with dynamic-threshold drops,
+	// and per-port ECN marking (threshold ECNMarkKB). LossRate applies at
 	// every egress serializer. Long-flow patterns then place connections
 	// across hosts — incast opens one flow from each of hosts 1..H-1 into
-	// host 0 — and Result.Hosts reports per-host stats. A nil Fabric keeps
-	// the two-host direct link, bit-identical to previous releases; a
-	// 2-host fabric with unbounded buffer is event-for-event identical to
-	// the direct link (see DESIGN.md "Switch fabric").
+	// host 0 — and Result.Hosts and Result.Fabric report per-host and
+	// switch stats. A nil Fabric runs the paper's testbed: a 2-host cluster
+	// of "sender" and "receiver" with unbounded buffer, loss only toward
+	// the receiver, and patterns placed across the pair's cores (see
+	// DESIGN.md "Switch fabric").
 	Fabric *FabricOptions
 
 	// FabricObs, when non-nil, attaches the fabric observatory: an
@@ -336,8 +336,8 @@ type PortReport = fabricobs.PortReport
 type BurstEvent = fabricobs.BurstEvent
 
 // FabricStats summarizes the switch fabric's activity over the whole run,
-// warmup included (drops during slow start count too). Nil on direct-link
-// runs.
+// warmup included (drops during slow start count too). Nil on
+// default-pair runs.
 type FabricStats struct {
 	InFrames        int64 // frames offered to ingress ports
 	Delivered       int64 // frames handed to hosts by egress links
@@ -537,12 +537,12 @@ const (
 type Workload struct {
 	Kind    string  // "long", "rpc", "mixed"
 	Pattern Pattern // long flows: traffic pattern
-	N       int     // long flows: scale (flows, or grid side for all-to-all)
+	N       int     // long flows: scale (flows, or grid side for all-to-all), 1..cores
 
-	RPCClients int   // rpc: number of client cores
+	RPCClients int   // rpc: number of client cores, 1..cores
 	RPCSize    int64 // rpc & mixed: request/response bytes
 
-	MixedShort int // mixed: short (RPC) connections sharing the core
+	MixedShort int // mixed: short (RPC) connections sharing the core, >= 0
 	// Segregate places the mixed workload's short flows on their own
 	// core instead of sharing the long flow's (the paper's §4
 	// class-segregated scheduling proposal).
@@ -597,13 +597,13 @@ type Result struct {
 	Sender                HostStats
 	Receiver              HostStats
 
-	// Hosts reports every host's stats in host order (direct link: sender
-	// then receiver; fabric: port order). Sender and Receiver above are
-	// the workload's primary transmitting and receiving hosts.
+	// Hosts reports every host's stats in port order (default pair:
+	// sender then receiver). Sender and Receiver above are the
+	// workload's primary transmitting and receiving hosts.
 	Hosts []HostStats
 
 	// Fabric summarizes switch activity when Config.Fabric was set (nil
-	// on direct-link runs).
+	// on default-pair runs).
 	Fabric       *FabricStats
 	RPCCompleted int64   // finished ping-pongs (rpc/mixed)
 	LongFlowGbps float64 // long-flow-only goodput (mixed workloads)
@@ -839,6 +839,9 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	if cfg.LossRate < 0 || cfg.LossRate > 1 {
 		return nil, fmt.Errorf("hostsim: loss rate %v outside [0,1]", cfg.LossRate)
 	}
+	if cfg.ECNMarkKB < 0 {
+		return nil, fmt.Errorf("hostsim: negative ECNMarkKB %d", cfg.ECNMarkKB)
+	}
 	opts, err := cfg.Stack.options()
 	if err != nil {
 		return nil, err
@@ -872,25 +875,15 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	if cfg.LinkGbps > 0 {
 		spec.LinkRate = units.BitRate(cfg.LinkGbps) * units.Gbps
 	}
-	// Topology: a direct two-host link by default, or N hosts on a switch
-	// fabric when Config.Fabric is set.
-	var (
-		hosts   []*core.Host
-		cluster *core.Cluster
-		taps    []linkTap // named link directions for the inspector
-	)
-	if fo := cfg.Fabric; fo == nil {
-		sender := core.NewHost("sender", eng, spec, costs, opts)
-		receiver := core.NewHost("receiver", eng, spec, costs, opts)
-		ab, ba := core.Connect(sender, receiver)
-		ab.SetLossRate(cfg.LossRate)
-		if cfg.ECNMarkKB > 0 {
-			ab.SetECNThreshold(units.Bytes(cfg.ECNMarkKB) * units.KB)
-			ba.SetECNThreshold(units.Bytes(cfg.ECNMarkKB) * units.KB)
-		}
-		hosts = []*core.Host{sender, receiver}
-		taps = []linkTap{{"sender->receiver", ab}, {"receiver->sender", ba}}
-	} else {
+	// Topology: every run is a cluster of hosts on a switch fabric. Without
+	// Config.Fabric it is the paper's testbed, a 2-host cluster of sender
+	// (port 0) and receiver (port 1).
+	names := []string{"sender", "receiver"}
+	fcfg := fabric.Config{
+		LinkRate:     spec.LinkRate,
+		ECNThreshold: units.Bytes(cfg.ECNMarkKB) * units.KB,
+	}
+	if fo := cfg.Fabric; fo != nil {
 		if fo.Hosts < 2 || fo.Hosts > 256 {
 			return nil, fmt.Errorf("hostsim: Fabric.Hosts %d outside [2,256]", fo.Hosts)
 		}
@@ -913,21 +906,29 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 				return nil, fmt.Errorf("hostsim: Fabric.HostNames entry %q contains one of %q", name, hostNameBanned)
 			}
 		}
-		hosts = make([]*core.Host, fo.Hosts)
-		for i := range hosts {
-			name := fmt.Sprintf("host%03d", i)
-			if len(fo.HostNames) > 0 {
-				name = fo.HostNames[i]
+		names = fo.HostNames
+		if len(names) == 0 {
+			names = make([]string, fo.Hosts)
+			for i := range names {
+				names[i] = fmt.Sprintf("host%03d", i)
 			}
-			hosts[i] = core.NewHost(name, eng, spec, costs, opts)
 		}
-		cluster = core.ConnectFabric(hosts, fabric.Config{
-			LinkRate:     spec.LinkRate,
-			SharedBuffer: units.Bytes(fo.SharedBufferKB) * units.KB,
-			Alpha:        fo.Alpha,
-			ECNThreshold: units.Bytes(cfg.ECNMarkKB) * units.KB,
-			LossRate:     cfg.LossRate,
-		})
+		fcfg.SharedBuffer = units.Bytes(fo.SharedBufferKB) * units.KB
+		fcfg.Alpha = fo.Alpha
+		fcfg.LossRate = cfg.LossRate
+	}
+	hosts := make([]*core.Host, len(names))
+	for i, name := range names {
+		hosts[i] = core.NewHost(name, eng, spec, costs, opts)
+	}
+	cluster := core.ConnectFabric(hosts, fcfg)
+	var taps []linkTap // named link directions for the inspector
+	if cfg.Fabric == nil {
+		// The testbed switch drops only sender->receiver frames.
+		toSender, toReceiver := cluster.Fabric().Port(0).Out(), cluster.Fabric().Port(1).Out()
+		toReceiver.SetLossRate(cfg.LossRate)
+		taps = []linkTap{{"sender->receiver", toReceiver}, {"receiver->sender", toSender}}
+	} else {
 		for i, h := range hosts {
 			taps = append(taps, linkTap{"fabric->" + h.Name(), cluster.Fabric().Port(i).Out()})
 		}
@@ -943,11 +944,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 			Collect:       cfg.Check.Collect,
 			MaxViolations: cfg.Check.MaxViolations,
 		})
-		if cluster != nil {
-			core.AttachClusterChecker(checker, cluster)
-		} else {
-			core.AttachChecker(checker, hosts[0], hosts[1], taps[0].link, taps[1].link)
-		}
+		core.AttachChecker(checker, cluster)
 		checker.Start()
 	}
 
@@ -985,7 +982,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		for _, h := range hosts {
 			h.EnableTelemetry(reg)
 		}
-		if cluster != nil {
+		if cfg.Fabric != nil {
 			// Fabric runs expose switch state in the same timeline as the
 			// host gauges, so one -telemetry-out artifact covers both.
 			cluster.Fabric().RegisterTelemetry(reg, "fabric/")
@@ -994,8 +991,8 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	}
 
 	var run *builtWorkload
-	if cluster != nil {
-		run, err = buildFabricWorkload(cluster, wl)
+	if cfg.Fabric != nil {
+		run, err = buildFabricWorkload(hosts, wl)
 	} else {
 		run, err = buildWorkload(hosts[0], hosts[1], wl)
 	}
@@ -1066,7 +1063,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	// run so bursts and hop latencies cover slow start.
 	var fobs *fabricobs.Observer
 	if fo := cfg.FabricObs; fo != nil {
-		if cluster == nil {
+		if cfg.Fabric == nil {
 			return nil, fmt.Errorf("hostsim: FabricObs requires Fabric")
 		}
 		if fo.SampleInterval < 0 || fo.MaxSamples < 0 || fo.BurstThresholdKB < 0 ||
@@ -1253,7 +1250,7 @@ func assemble(cfg Config, hosts []*core.Host, cluster *core.Cluster, run *builtW
 	for _, h := range hosts {
 		res.Flows = append(res.Flows, collectFlowStats(h)...)
 	}
-	if cluster != nil {
+	if cfg.Fabric != nil {
 		tot := cluster.Fabric().Totals()
 		res.Fabric = &FabricStats{
 			InFrames: tot.In, Delivered: tot.Delivered,

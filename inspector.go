@@ -10,8 +10,8 @@ import (
 	"hostsim/internal/wire"
 )
 
-// linkTap is one tappable link direction: the direct link's two
-// directions, or one fabric egress port per host.
+// linkTap is one tappable link direction: one fabric egress port per
+// host, named after the pair's direction on the default topology.
 type linkTap struct {
 	name string
 	link *wire.Link

@@ -12,59 +12,93 @@ import (
 )
 
 // AttachChecker registers the conservation-law audit rules for a
-// connected host pair on ck and arms each host's cycle ledger. Call after
-// Connect and before the simulation runs; the rules are pure reads, so a
-// checked run follows the exact trajectory of an unchecked one.
+// cluster on ck and arms each host's cycle ledger. Call after
+// ConnectFabric and before the simulation runs; the rules are pure reads,
+// so a checked run follows the exact trajectory of an unchecked one.
 //
 // The laws, each exact at event boundaries:
 //
-//   - wire: per link, frames (and payload bytes) sent = delivered +
-//     dropped at the switch + in flight;
-//   - nic-rx: per host, payload delivered by the inbound link = NIC
+//   - wire: per fabric egress link, frames (and payload bytes) sent =
+//     delivered + dropped by the link's loss draw + in flight;
+//   - fabric-port: per switch port, every frame entering the ingress is
+//     either forwarded to an egress queue or a counted shared-buffer drop;
+//   - nic-rx: per host, payload delivered by the host's egress link = NIC
 //     RxBytes + ring-dropped bytes, and RxBytes = bytes handed up the
 //     stack + ring backlog + GRO-held; posted descriptors stay in
 //     [0, RxRing];
 //   - tcp-seqspace: per connection, sequence bookkeeping is internally
 //     consistent (see tcp.Conn.CheckInvariants) and cross-host
 //     sndUna <= peer rcvNxt <= sndNxt;
-//   - skb-pool / frame-pool: every buffer handed out by the pair's shared
-//     pools is accounted for by a live queue, a counted leak-by-design
-//     (switch drops, unsteered skbs), or an in-flight counter;
+//   - skb-pool / frame-pool: every buffer handed out by the cluster's
+//     shared pools is accounted for by a live queue, a counted
+//     leak-by-design (loss drops, shared-buffer drops, unsteered skbs),
+//     or an in-flight counter;
 //   - cycles: per host, the charge log's per-category tally reconciles
 //     exactly with the core Breakdown accounting, and busy time matches
 //     the cycle total within per-item truncation slack;
 //   - dca: DDIO occupancy never exceeds the configured L3 share.
-func AttachChecker(ck *check.Checker, a, b *Host, ab, ba *wire.Link) {
-	for _, h := range []*Host{a, b} {
+func AttachChecker(ck *check.Checker, c *Cluster) {
+	hosts := c.hosts
+	for _, h := range hosts {
 		h.chkLedger = &check.CycleLedger{}
 		h.installChargeLog()
 	}
+	names := make([]string, len(hosts))
+	links := make([]*wire.Link, len(hosts))
+	for i, h := range hosts {
+		names[i] = h.name
+		links[i] = c.fab.Port(i).Out()
+	}
+	scope := strings.Join(names, "/")
 
 	ck.AddRule("wire-conservation", func(fail check.FailFunc) {
-		wireConservation(fail, a.name+"->"+b.name, ab)
-		wireConservation(fail, b.name+"->"+a.name, ba)
+		for i, h := range hosts {
+			wireConservation(fail, "fabric->"+h.name, links[i])
+		}
+	})
+	ck.AddRule("fabric-port-conservation", func(fail check.FailFunc) {
+		for i, h := range hosts {
+			st := c.fab.Port(i).Stats()
+			if st.In != st.Forwarded+st.BufDropped {
+				fail("fabric port %d (%s): %d frames in != %d forwarded + %d buffer-dropped (leak of %d)",
+					i, h.name, st.In, st.Forwarded, st.BufDropped,
+					st.In-st.Forwarded-st.BufDropped)
+			}
+			if st.InPayload != st.ForwardedPayload+st.BufDroppedBytes {
+				fail("fabric port %d (%s): %d payload bytes in != %d forwarded + %d buffer-dropped (leak of %d)",
+					i, h.name, st.InPayload, st.ForwardedPayload, st.BufDroppedBytes,
+					st.InPayload-st.ForwardedPayload-st.BufDroppedBytes)
+			}
+		}
+		if occ := c.fab.Occupancy(); occ < 0 {
+			fail("fabric: negative shared-buffer occupancy %d", occ)
+		}
 	})
 	ck.AddRule("nic-rx-conservation", func(fail check.FailFunc) {
-		nicRxConservation(fail, b, ab) // ab delivers into b's NIC
-		nicRxConservation(fail, a, ba)
+		for i, h := range hosts {
+			nicRxConservation(fail, h, links[i])
+		}
 	})
 	ck.AddRule("tcp-seqspace", func(fail check.FailFunc) {
-		tcpSeqSpace(fail, a, b)
-		tcpSeqSpace(fail, b, a)
+		for _, h := range hosts {
+			tcpSeqSpace(fail, h)
+		}
 	})
 	ck.AddRule("skb-pool-conservation", func(fail check.FailFunc) {
-		skbConservation(fail, a, b)
+		skbConservation(fail, scope, hosts)
 	})
 	ck.AddRule("frame-pool-conservation", func(fail check.FailFunc) {
-		frameConservation(fail, a, b, ab, ba)
+		frameConservation(fail, scope, hosts, links, c.fab.Totals().BufDropped)
 	})
 	ck.AddRule("cycle-conservation", func(fail check.FailFunc) {
-		cycleConservation(fail, a)
-		cycleConservation(fail, b)
+		for _, h := range hosts {
+			cycleConservation(fail, h)
+		}
 	})
 	ck.AddRule("dca-occupancy", func(fail check.FailFunc) {
-		dcaOccupancy(fail, a)
-		dcaOccupancy(fail, b)
+		for _, h := range hosts {
+			dcaOccupancy(fail, h)
+		}
 	})
 }
 
@@ -121,28 +155,7 @@ func sortedEndpoints(h *Host) []*Endpoint {
 	return eps
 }
 
-func tcpSeqSpace(fail check.FailFunc, h, peer *Host) {
-	for _, ep := range sortedEndpoints(h) {
-		ep.conn.CheckInvariants(fail)
-		pep := peer.byRx[ep.txFlow]
-		if pep == nil {
-			continue
-		}
-		una, nxt := ep.conn.SndUna(), ep.conn.SndNxt()
-		rcv := pep.conn.RcvNxt()
-		if una > rcv || rcv > nxt {
-			fail("tcp flow %d: cross-host sequence drift: %s sndUna %d, %s rcvNxt %d, sndNxt %d "+
-				"(want sndUna <= rcvNxt <= sndNxt)",
-				ep.txFlow, h.name, una, peer.name, rcv, nxt)
-		}
-	}
-}
-
-func skbConservation(fail check.FailFunc, a, b *Host) {
-	skbConservationHosts(fail, a.name+"/"+b.name, []*Host{a, b})
-}
-
-func skbConservationHosts(fail check.FailFunc, scope string, hosts []*Host) {
+func skbConservation(fail check.FailFunc, scope string, hosts []*Host) {
 	pool := hosts[0].NIC.SKBPool()
 	if pool == nil {
 		return
@@ -163,15 +176,11 @@ func skbConservationHosts(fail check.FailFunc, scope string, hosts []*Host) {
 	}
 }
 
-func frameConservation(fail check.FailFunc, a, b *Host, ab, ba *wire.Link) {
-	frameConservationHosts(fail, a.name+"/"+b.name, []*Host{a, b}, []*wire.Link{ab, ba}, 0)
-}
-
-// frameConservationHosts audits the shared frame pool over an arbitrary
-// host set: every outstanding frame must sit in a NIC Tx queue, an Rx
-// backlog, on a wire, or be a counted abandonment (a switch loss drop or
-// a fabric shared-buffer drop).
-func frameConservationHosts(fail check.FailFunc, scope string, hosts []*Host, links []*wire.Link, fabricDropped int64) {
+// frameConservation audits the cluster's shared frame pool: every
+// outstanding frame must sit in a NIC Tx queue, an Rx backlog, on a wire,
+// or be a counted abandonment (a loss drop on an egress link or a fabric
+// shared-buffer drop).
+func frameConservation(fail check.FailFunc, scope string, hosts []*Host, links []*wire.Link, fabricDropped int64) {
 	fp := hosts[0].NIC.FramePool()
 	if fp == nil {
 		return
@@ -193,96 +202,15 @@ func frameConservationHosts(fail check.FailFunc, scope string, hosts []*Host, li
 	}
 }
 
-// AttachClusterChecker registers the conservation-law audit rules for a
-// fabric-connected cluster: the pair rules of AttachChecker restated
-// per egress link and per host, plus a per-switch-port rule (every frame
-// entering an ingress port is either forwarded to an egress queue or a
-// counted shared-buffer drop) and the cluster-wide pool audits, which
-// absorb fabric buffer drops as counted abandonments.
-func AttachClusterChecker(ck *check.Checker, c *Cluster) {
-	hosts := c.hosts
-	for _, h := range hosts {
-		h.chkLedger = &check.CycleLedger{}
-		h.installChargeLog()
-	}
-	names := make([]string, len(hosts))
-	links := make([]*wire.Link, len(hosts))
-	for i, h := range hosts {
-		names[i] = h.name
-		links[i] = c.fab.Port(i).Out()
-	}
-	scope := strings.Join(names, "/")
-
-	ck.AddRule("wire-conservation", func(fail check.FailFunc) {
-		for i, h := range hosts {
-			wireConservation(fail, "fabric->"+h.name, links[i])
-		}
-	})
-	ck.AddRule("fabric-port-conservation", func(fail check.FailFunc) {
-		for i, h := range hosts {
-			st := c.fab.Port(i).Stats()
-			if st.In != st.Forwarded+st.BufDropped {
-				fail("fabric port %d (%s): %d frames in != %d forwarded + %d buffer-dropped (leak of %d)",
-					i, h.name, st.In, st.Forwarded, st.BufDropped,
-					st.In-st.Forwarded-st.BufDropped)
-			}
-			if st.InPayload != st.ForwardedPayload+st.BufDroppedBytes {
-				fail("fabric port %d (%s): %d payload bytes in != %d forwarded + %d buffer-dropped (leak of %d)",
-					i, h.name, st.InPayload, st.ForwardedPayload, st.BufDroppedBytes,
-					st.InPayload-st.ForwardedPayload-st.BufDroppedBytes)
-			}
-		}
-		if occ := c.fab.Occupancy(); occ < 0 {
-			fail("fabric: negative shared-buffer occupancy %d", occ)
-		}
-	})
-	ck.AddRule("nic-rx-conservation", func(fail check.FailFunc) {
-		for i, h := range hosts {
-			nicRxConservation(fail, h, links[i])
-		}
-	})
-	ck.AddRule("tcp-seqspace", func(fail check.FailFunc) {
-		for _, h := range hosts {
-			clusterSeqSpace(fail, h, c)
-		}
-	})
-	ck.AddRule("skb-pool-conservation", func(fail check.FailFunc) {
-		skbConservationHosts(fail, scope, hosts)
-	})
-	ck.AddRule("frame-pool-conservation", func(fail check.FailFunc) {
-		frameConservationHosts(fail, scope, hosts, links, c.fab.Totals().BufDropped)
-	})
-	ck.AddRule("cycle-conservation", func(fail check.FailFunc) {
-		for _, h := range hosts {
-			cycleConservation(fail, h)
-		}
-	})
-	ck.AddRule("dca-occupancy", func(fail check.FailFunc) {
-		for _, h := range hosts {
-			dcaOccupancy(fail, h)
-		}
-	})
-}
-
-// clusterSeqSpace is tcpSeqSpace with the peer host resolved through the
-// cluster's routing table instead of an implicit pair.
-func clusterSeqSpace(fail check.FailFunc, h *Host, c *Cluster) {
+func tcpSeqSpace(fail check.FailFunc, h *Host) {
 	for _, ep := range sortedEndpoints(h) {
 		ep.conn.CheckInvariants(fail)
-		peer := c.peer[ep.txFlow]
-		if peer == nil {
-			continue
-		}
-		pep := peer.byRx[ep.txFlow]
-		if pep == nil {
-			continue
-		}
 		una, nxt := ep.conn.SndUna(), ep.conn.SndNxt()
-		rcv := pep.conn.RcvNxt()
+		rcv := ep.peer.conn.RcvNxt()
 		if una > rcv || rcv > nxt {
 			fail("tcp flow %d: cross-host sequence drift: %s sndUna %d, %s rcvNxt %d, sndNxt %d "+
 				"(want sndUna <= rcvNxt <= sndNxt)",
-				ep.txFlow, h.name, una, peer.name, rcv, nxt)
+				ep.txFlow, h.name, una, ep.peer.host.name, rcv, nxt)
 		}
 	}
 }

@@ -6,15 +6,17 @@ import (
 
 	"hostsim/internal/cpumodel"
 	"hostsim/internal/exec"
+	"hostsim/internal/fabric"
 	"hostsim/internal/sim"
 	"hostsim/internal/topology"
 	"hostsim/internal/units"
 )
 
-// rig builds a connected host pair.
+// rig builds a host pair connected as a 2-host cluster.
 type rig struct {
 	eng  *sim.Engine
 	a, b *Host
+	c    *Cluster
 }
 
 func newRig(t *testing.T, opts Options) *rig {
@@ -24,8 +26,8 @@ func newRig(t *testing.T, opts Options) *rig {
 	spec := topology.Default()
 	a := NewHost("a", eng, spec, costs, opts)
 	b := NewHost("b", eng, spec, costs, opts)
-	Connect(a, b)
-	return &rig{eng: eng, a: a, b: b}
+	c := ConnectFabric([]*Host{a, b}, fabric.Config{})
+	return &rig{eng: eng, a: a, b: b, c: c}
 }
 
 func (r *rig) run(d time.Duration) { r.eng.Run(sim.Time(d)) }
@@ -115,10 +117,10 @@ func TestConnectTwicePanics(t *testing.T) {
 	r := newRig(t, AllOpts())
 	defer func() {
 		if recover() == nil {
-			t.Error("second Connect should panic")
+			t.Error("second ConnectFabric should panic")
 		}
 	}()
-	Connect(r.a, r.b)
+	ConnectFabric([]*Host{r.a, r.b}, fabric.Config{})
 }
 
 func TestOpenConnBeforeConnectPanics(t *testing.T) {
@@ -127,7 +129,7 @@ func TestOpenConnBeforeConnectPanics(t *testing.T) {
 	b := NewHost("b", eng, topology.Default(), cpumodel.Default(), AllOpts())
 	defer func() {
 		if recover() == nil {
-			t.Error("OpenConn before Connect should panic")
+			t.Error("OpenConn before ConnectFabric should panic")
 		}
 	}()
 	OpenConn(a, 0, b, 0)

@@ -23,6 +23,7 @@ type Notify struct {
 // application core, wired through the full Fig. 1 data path.
 type Endpoint struct {
 	host    *Host
+	peer    *Endpoint // the other end of the connection
 	appCore int
 	txFlow  skb.FlowID
 	rxFlow  skb.FlowID

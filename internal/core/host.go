@@ -20,7 +20,6 @@ import (
 	"hostsim/internal/topology"
 	"hostsim/internal/trace"
 	"hostsim/internal/units"
-	"hostsim/internal/wire"
 )
 
 // senderWSFraction scales the host's in-use send-buffer bytes into an
@@ -52,7 +51,9 @@ type Host struct {
 	DCA   *cache.DCA
 	NIC   *nic.NIC
 
-	flows      *flowIDs // shared with the peer host after Connect
+	cluster    *Cluster // set by ConnectFabric
+	port       int      // this host's fabric port
+	flows      *flowIDs // shared cluster-wide after ConnectFabric
 	steerTable map[skb.FlowID]int
 	byTx       map[skb.FlowID]*Endpoint // local sender endpoints by tx flow
 	byRx       map[skb.FlowID]*Endpoint // local receiver endpoints by rx flow
@@ -138,7 +139,7 @@ func (h *Host) Profiler() *profile.Profiler { return h.prof }
 // detached tracer costs nothing on the hot path.
 func (h *Host) EnableMsgTrace(t *mtrace.Tracer) { h.mt = t }
 
-// NewHost builds a host. The NIC's egress is connected later via Connect.
+// NewHost builds a host. Its NIC is attached later by ConnectFabric.
 func NewHost(name string, eng *sim.Engine, spec topology.MachineSpec,
 	costs *cpumodel.Costs, opts Options) *Host {
 	if err := opts.Validate(); err != nil {
@@ -195,34 +196,6 @@ func (h *Host) Options() Options { return h.opts }
 
 // Spec returns the machine description.
 func (h *Host) Spec() topology.MachineSpec { return h.spec }
-
-// Connect joins two hosts with a full-duplex link and instantiates their
-// NICs. Call exactly once per host pair, before opening connections.
-// It returns the a->b and b->a links so experiments can inject loss or
-// ECN marking.
-func Connect(a, b *Host) (ab, ba *wire.Link) {
-	if a.NIC != nil || b.NIC != nil {
-		panic("core: hosts already connected")
-	}
-	delay := time.Duration(a.spec.OneWayDelay) * time.Nanosecond
-	ab = wire.NewLink(a.eng, a.spec.LinkRate, delay, func(f *skb.Frame) { b.NIC.ReceiveFromWire(f) })
-	ba = wire.NewLink(b.eng, b.spec.LinkRate, delay, func(f *skb.Frame) { a.NIC.ReceiveFromWire(f) })
-	a.NIC = nic.New(a.eng, a.Sys, a.Alloc, a.DCA, a.opts.nicConfig(), ab, a.deliver)
-	b.NIC = nic.New(b.eng, b.Sys, b.Alloc, b.DCA, b.opts.nicConfig(), ba, b.deliver)
-	a.NIC.SetTxComplete(a.txComplete)
-	b.NIC.SetTxComplete(b.txComplete)
-	// Share the fast-path pools and the flow-ID counter across the pair:
-	// frames and skbs are born on one host and die on the other, so only a
-	// pair-wide pool stays balanced, and per-pair flow numbering keeps
-	// concurrent simulations independent (no global state).
-	skbs, frames := &skb.Pool{}, &skb.FramePool{}
-	a.NIC.SetPools(skbs, frames)
-	b.NIC.SetPools(skbs, frames)
-	b.flows = a.flows
-	a.installSteering()
-	b.installSteering()
-	return ab, ba
-}
 
 // txComplete is the NIC's wire-departure notification: batch it per
 // endpoint and process in softirq (TSQ completion).
@@ -364,7 +337,7 @@ var (
 )
 
 // EnableTelemetry registers this host's metrics into reg, prefixed with
-// the host name (e.g. "sender/copied_bytes"). Call after Connect (the
+// the host name (e.g. "sender/copied_bytes"). Call after ConnectFabric (the
 // NIC's gauges ride along) and before opening connections (endpoints
 // register per-flow gauges as they appear). No-op on a nil registry.
 func (h *Host) EnableTelemetry(reg *telemetry.Registry) {
@@ -516,8 +489,8 @@ func (h *Host) senderMissRate() float64 {
 	return m
 }
 
-// flowIDs hands out unique flow identifiers for one connected host pair.
-// Scoping the counter to the pair (instead of a package global) keeps
+// flowIDs hands out unique flow identifiers for one cluster. Scoping the
+// counter to the cluster (instead of a package global) keeps
 // concurrent simulations deterministic and data-race free.
 type flowIDs struct {
 	next skb.FlowID
@@ -530,17 +503,28 @@ func (f *flowIDs) alloc() skb.FlowID {
 
 // OpenConn opens a connection between aCore on host a and bCore on host
 // b, returning the two endpoints. Both directions are set up (full
-// duplex); steering entries are installed per each host's policy.
+// duplex); steering entries are installed per each host's policy and
+// both flow directions are registered with the cluster's routing table.
 func OpenConn(a *Host, aCore int, b *Host, bCore int) (*Endpoint, *Endpoint) {
-	if a.NIC == nil || b.NIC == nil {
-		panic("core: Connect the hosts before opening connections")
+	if a.cluster == nil || a.cluster != b.cluster {
+		panic("core: ConnectFabric the hosts before opening connections")
+	}
+	if a == b {
+		panic(fmt.Sprintf("core: connection on host %s loops back to itself", a.name))
 	}
 	flowAB := a.flows.alloc()
 	flowBA := a.flows.alloc()
 	epA := newEndpoint(a, aCore, flowAB, flowBA)
 	epB := newEndpoint(b, bCore, flowBA, flowAB)
+	epA.peer, epB.peer = epB, epA
 	a.register(epA)
 	b.register(epB)
+	// Both directions of the connection share the same two attachment
+	// ports; pure ACKs traverse the fabric in reverse, which the
+	// ingress-exclusion routing rule handles without per-frame state.
+	fab := a.cluster.fab
+	fab.Register(flowAB, a.port, b.port)
+	fab.Register(flowBA, b.port, a.port)
 	return epA, epB
 }
 

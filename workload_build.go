@@ -69,6 +69,7 @@ func msgSizes(b *builtWorkload, override int64) map[skb.FlowID]units.Bytes {
 
 func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, error) {
 	b := &builtWorkload{receiverIdx: 1}
+	cores := sender.Spec().NumCores()
 	switch wl.Kind {
 	case "long":
 		p, err := parsePattern(wl.Pattern)
@@ -78,6 +79,9 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 		n := wl.N
 		if p == workload.Single {
 			n = 1
+		}
+		if n < 1 || n > cores {
+			return nil, fmt.Errorf("hostsim: %v pattern with N=%d outside [1,%d]", p, n, cores)
 		}
 		if wl.RemoteNUMA {
 			if p != workload.Single {
@@ -96,6 +100,10 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 		if wl.RPCClients <= 0 || wl.RPCSize <= 0 {
 			return nil, fmt.Errorf("hostsim: rpc workload needs RPCClients and RPCSize")
 		}
+		if wl.RPCClients > cores {
+			// One client per sender core.
+			return nil, fmt.Errorf("hostsim: %d RPCClients exceed the sender's %d cores", wl.RPCClients, cores)
+		}
 		serverCore := 0
 		if wl.RemoteNUMA {
 			serverCore = receiver.Spec().CoresOnNode(2)[0]
@@ -105,6 +113,12 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 		return b, nil
 
 	case "mixed":
+		if wl.MixedShort < 0 {
+			return nil, fmt.Errorf("hostsim: negative MixedShort %d", wl.MixedShort)
+		}
+		if wl.RemoteNUMA {
+			return nil, fmt.Errorf("hostsim: RemoteNUMA supports the long and rpc workloads only")
+		}
 		if wl.RPCSize <= 0 {
 			wl.RPCSize = 4096
 		}
@@ -130,7 +144,7 @@ func buildWorkload(sender, receiver *core.Host, wl Workload) (*builtWorkload, er
 // ignored; cores on a hot host fill round-robin like the paper's
 // multi-flow placements. RPC and mixed workloads (and RemoteNUMA) remain
 // pair-topology options.
-func buildFabricWorkload(c *core.Cluster, wl Workload) (*builtWorkload, error) {
+func buildFabricWorkload(hosts []*core.Host, wl Workload) (*builtWorkload, error) {
 	if wl.Kind != "long" {
 		return nil, fmt.Errorf("hostsim: fabric topologies support the long workload only (got %q)", wl.Kind)
 	}
@@ -141,12 +155,11 @@ func buildFabricWorkload(c *core.Cluster, wl Workload) (*builtWorkload, error) {
 	if err != nil {
 		return nil, err
 	}
-	hosts := c.Hosts()
 	h := len(hosts)
 	cores := hosts[0].Spec().NumCores()
 	b := &builtWorkload{receiverIdx: 1}
 	open := func(s, sCore, r, rCore int) {
-		sEP, rEP := c.OpenConn(s, sCore, r, rCore)
+		sEP, rEP := core.OpenConn(hosts[s], sCore, hosts[r], rCore)
 		b.long = append(b.long, workload.StartLongFlow(sEP, rEP))
 	}
 	switch p {
