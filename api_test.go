@@ -1,6 +1,7 @@
 package hostsim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -47,6 +48,24 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 			Workload{Kind: "mixed", MixedShort: 4, RPCSize: 4096, RemoteNUMA: true}},
 		{"negative ecn", Config{Stack: AllOptimizations(), ECNMarkKB: -1}, LongFlowWorkload(PatternSingle, 1)},
 		{"negative ecn, fabric", namedHosts(Config{ECNMarkKB: -1}, "a", "b"), LongFlowWorkload(PatternIncast, 0)},
+		{"sndbuf below tso segment", func() Config { s := AllOptimizations(); s.SndBufBytes = 1; return Config{Stack: s} }(), LongFlowWorkload(PatternSingle, 1)},
+		{"sndbuf below mss segment", func() Config {
+			s := AllOptimizations()
+			s.TSO, s.GSO, s.SndBufBytes = false, false, 4096
+			return Config{Stack: s}
+		}(), LongFlowWorkload(PatternSingle, 1)},
+		{"link rate overflow", Config{Stack: AllOptimizations(), LinkGbps: 1 << 40}, LongFlowWorkload(PatternSingle, 1)},
+		{"nan loss", Config{Stack: AllOptimizations(), LossRate: math.NaN()}, LongFlowWorkload(PatternSingle, 1)},
+		{"nan alpha", func() Config {
+			c := namedHosts(Config{}, "a", "b")
+			c.Fabric.Alpha = math.NaN()
+			return c
+		}(), LongFlowWorkload(PatternIncast, 0)},
+		{"infinite alpha", func() Config {
+			c := namedHosts(Config{}, "a", "b")
+			c.Fabric.Alpha = math.Inf(1)
+			return c
+		}(), LongFlowWorkload(PatternIncast, 0)},
 	}
 	for _, c := range cases {
 		if _, err := Run(c.cfg, c.wl); err == nil {

@@ -43,6 +43,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.RcvBufBytes = -1 },
 		func(o *Options) { o.CC = "vegas" },
 		func(o *Options) { o.Steering = SteeringMode(9) },
+		func(o *Options) { o.SndBufBytes = o.SegmentBytes() - 1 },
 	}
 	for i, f := range bad {
 		o := AllOpts()
