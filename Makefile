@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench profile-smoke inspect-smoke mtrace-smoke fuzz-smoke fabricobs-smoke figures figures-golden validate validate-smoke validate-sensitivity
+.PHONY: all build test check fmt vet race bench fuzz-smoke figures figures-golden validate validate-smoke validate-sensitivity
 
 all: build
 
@@ -23,7 +23,9 @@ race:
 	$(GO) test -race ./...
 
 # check is the CI gate: formatting, static analysis, and the full test
-# suite under the race detector.
+# suite under the race detector. The suite also checks every export's
+# structure on the bytes its writer produces, and cmd/netsim's test runs
+# every output flag.
 check: fmt vet race
 
 # bench runs the repository benchmark, simbench (see simbench/README.md),
@@ -34,32 +36,6 @@ bench:
 		bash simbench/run.sh --workload $$w --trace 0 || exit 1; \
 	done
 
-# profile-smoke is the CI profile-golden check: run netsim with profiling
-# enabled and validate the emitted profile.proto with the in-repo parser.
-profile-smoke:
-	$(GO) run ./cmd/netsim -dur 3ms -warmup 3ms -profile-out /tmp/hostsim-smoke.pb.gz \
-		-folded-out /tmp/hostsim-smoke.folded -latency-breakdown > /dev/null
-	$(GO) run ./cmd/profcheck /tmp/hostsim-smoke.pb.gz
-
-# inspect-smoke is the CI wire-inspector check: run netsim with all three
-# exporters and validate the emitted pcapng with the in-repo reader.
-inspect-smoke:
-	$(GO) run ./cmd/netsim -dur 3ms -warmup 3ms -loss 0.01 \
-		-pcap-out /tmp/hostsim-smoke.pcapng -probe-out /tmp/hostsim-smoke.probe.jsonl \
-		-ss-out /tmp/hostsim-smoke.ss.csv > /dev/null
-	$(GO) run ./cmd/inspectcheck /tmp/hostsim-smoke.pcapng
-	test -s /tmp/hostsim-smoke.probe.jsonl && test -s /tmp/hostsim-smoke.ss.csv
-
-# mtrace-smoke is the CI message-tracing check: run netsim on the golden
-# lossy RPC scenario with both mtrace exporters and validate the span
-# telescoping and the report shape with the in-repo checker.
-mtrace-smoke:
-	$(GO) run ./cmd/netsim -workload rpc -rpcclients 8 -rpcsize 65536 \
-		-loss 0.01 -warmup 2ms -dur 20ms -seed 7 \
-		-mtrace-out /tmp/hostsim-smoke.spans.json \
-		-tail-report /tmp/hostsim-smoke.tail.txt > /dev/null
-	$(GO) run ./cmd/tailcheck /tmp/hostsim-smoke.spans.json /tmp/hostsim-smoke.tail.txt
-
 # fuzz-smoke is the CI fuzz gate: a short coverage-guided walk of the
 # configuration space with the conservation-law checker as the oracle,
 # then of Stop/Reset/Run op scripts with the event engine checked
@@ -68,22 +44,6 @@ mtrace-smoke:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzConfig -fuzztime=30s -run FuzzConfig .
 	$(GO) test -fuzz=FuzzScheduler -fuzztime=30s -run FuzzScheduler ./internal/sim
-
-# fabricobs-smoke is the CI fabric-observability gate: an end-to-end
-# netsim run emitting all three artifacts, re-validated with the in-repo
-# fabcheck checker. The same run writes the host+fabric telemetry
-# timeline, whose every line must have the header's field count. (The
-# observatory's unit and transparency tests run under `make race`.)
-fabricobs-smoke:
-	$(GO) run ./cmd/netsim -fabric-hosts 8 -fabric-buffer-kb 256 -pattern incast \
-		-dur 10ms -warmup 5ms -check -burst-kb 64 \
-		-fabric-report /tmp/hostsim-smoke.fab.csv \
-		-fabric-ts-out /tmp/hostsim-smoke.fabts.csv \
-		-fabric-trace-out /tmp/hostsim-smoke.fab.json \
-		-telemetry-out /tmp/hostsim-smoke.tel.csv > /dev/null
-	$(GO) run ./cmd/fabcheck /tmp/hostsim-smoke.fab.csv /tmp/hostsim-smoke.fabts.csv
-	awk -F, 'NR == 1 { n = NF } NF != n { print FILENAME ":" NR ": " NF " fields, header has " n; bad = 1 } \
-		END { if (NR < 2) { print FILENAME ": no samples"; bad = 1 }; exit bad }' /tmp/hostsim-smoke.tel.csv
 
 figures:
 	$(GO) run ./cmd/figures

@@ -13,8 +13,8 @@ import (
 )
 
 // encodeFlows renders a burst's contributing flows as "flow:frames"
-// pairs joined by ';' — compact enough for a CSV cell, exact enough for
-// fabcheck to re-read.
+// pairs joined by ';' — compact enough for a CSV cell, exact enough to
+// parse back.
 func encodeFlows(flows []FlowFrames) string {
 	var b strings.Builder
 	for i, ff := range flows {
@@ -31,7 +31,7 @@ func encodeFlows(flows []FlowFrames) string {
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // portCSVHeader is the port-ledger section header of the CSV report;
-// cmd/fabcheck parses it by these exact column names.
+// readers find each field by these exact column names.
 const portCSVHeader = "port,host,in_frames,forwarded,admission_drops,admission_drop_bytes," +
 	"enqueued,delivered,wire_loss_drops,in_flight,ecn_marks,tx_bytes,utilization," +
 	"peak_backlog_bytes,peak_occupancy_bytes,hop_mean_ns,hop_p50_ns,hop_p99_ns,hop_max_ns,bursts"

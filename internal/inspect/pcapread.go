@@ -52,7 +52,7 @@ type Packet struct {
 // ReadPcap parses a little-endian pcapng section, validating the framing
 // strictly (leading/trailing block lengths, 4-byte padding, SHB first,
 // interfaces declared before use). It is the round-trip check for
-// WritePcap and the backend of cmd/inspectcheck.
+// WritePcap.
 func ReadPcap(r io.Reader) (*File, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -13,9 +13,8 @@ import (
 // message first. Each exemplar becomes one Perfetto process with three
 // threads: the end-to-end message span, the telescoping stage slices,
 // and the segment/recovery instants. Stage slices carry their exact
-// nanosecond duration in args ("ns"), so consumers — cmd/tailcheck for
-// one — can verify the telescoping invariant without microsecond
-// rounding noise.
+// nanosecond duration in args ("ns"), so consumers can verify the
+// telescoping invariant without microsecond rounding noise.
 func (t *Tracer) Spans() []telemetry.Span {
 	if t == nil {
 		return nil

@@ -7,6 +7,8 @@ package hostsim_test
 // determinism of the report and span artifacts across parallelism.
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"hostsim"
+	"hostsim/internal/stage"
 )
 
 // tailCfg is the pinned golden scenario: an 8-client 64KB RPC incast
@@ -87,6 +90,15 @@ func TestTailReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sb.String()
+	var n int64
+	if _, err := fmt.Sscanf(got, "messages %d", &n); err != nil || n != res.MessageLatency.Count {
+		t.Errorf("report header: read %d (%v), want \"messages %d\"", n, err, res.MessageLatency.Count)
+	}
+	for _, band := range []string{"p0-p50", "p50-p90", "p90-p99", "p99-p999", "p999-max"} {
+		if !strings.Contains(got, "\n"+band+" ") {
+			t.Errorf("report has no %s band row", band)
+		}
+	}
 	path := filepath.Join("testdata", "golden", "tailreport.txt")
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -136,7 +148,8 @@ func TestMsgTraceObserverTransparency(t *testing.T) {
 // every completed message, in a lossy and a loss-free scenario alike,
 // the per-stage deltas are non-negative and sum exactly to the
 // end-to-end total — no latency invented, none lost. The report's
-// quantiles must be monotone over the same population.
+// quantiles must be monotone over the same population, and the span
+// export must carry the same telescoping (see checkSpans).
 func TestMsgTraceTelescoping(t *testing.T) {
 	lossless := tailCfg()
 	lossless.LossRate = 0
@@ -171,6 +184,81 @@ func TestMsgTraceTelescoping(t *testing.T) {
 			if qs[i] < qs[i-1] {
 				t.Errorf("%s: quantiles not monotone: %v", name, qs)
 			}
+		}
+		checkSpans(t, name, exportBytes(t, res.WriteSpans))
+	}
+}
+
+// checkSpans decodes a WriteSpans export and checks what the writer
+// guarantees: only metadata (M), slice (X) and instant (i) events; every
+// slice names a known stage and carries an integer args.ns; no negative
+// ts, dur or args.ns; and per exemplar process exactly one total span on
+// tid 0 plus one slice per message stage on tid 1, summing exactly to
+// that total.
+func checkSpans(t *testing.T, name string, data []byte) {
+	t.Helper()
+	var events []struct {
+		Name string
+		Ph   string
+		Ts   float64
+		Dur  float64
+		Pid  int
+		Tid  int
+		Args struct{ NS *int64 }
+	}
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("%s: spans: %v", name, err)
+	}
+	type exemplar struct{ totals, stages, total, stageSum int64 }
+	procs := map[int]*exemplar{}
+	for i, e := range events {
+		if e.Ts < 0 || e.Dur < 0 {
+			t.Errorf("%s: event %d (%q): negative ts %v or dur %v", name, i, e.Name, e.Ts, e.Dur)
+		}
+		ex := procs[e.Pid]
+		if ex == nil {
+			ex = &exemplar{}
+			procs[e.Pid] = ex
+		}
+		switch e.Ph {
+		case "M", "i":
+			continue
+		case "X":
+		default:
+			t.Errorf("%s: event %d (%q): unexpected phase %q", name, i, e.Name, e.Ph)
+			continue
+		}
+		s, ok := stage.Parse(e.Name)
+		if !ok {
+			t.Errorf("%s: event %d: slice %q is not a known stage", name, i, e.Name)
+		}
+		if e.Args.NS == nil || *e.Args.NS < 0 {
+			t.Errorf("%s: event %d (%q): args.ns missing or negative", name, i, e.Name)
+			continue
+		}
+		switch {
+		case e.Tid == 0 && s == stage.Total:
+			ex.totals++
+			ex.total = *e.Args.NS
+		case e.Tid == 1:
+			ex.stages++
+			ex.stageSum += *e.Args.NS
+		default:
+			t.Errorf("%s: event %d (%q): slice on unexpected tid %d", name, i, e.Name, e.Tid)
+		}
+	}
+	if len(procs) == 0 {
+		t.Errorf("%s: spans export has no exemplars", name)
+	}
+	for pid, ex := range procs {
+		if ex.totals != 1 {
+			t.Errorf("%s: pid %d: %d total spans, want 1", name, pid, ex.totals)
+		}
+		if ex.stages != int64(len(stage.Message)-1) {
+			t.Errorf("%s: pid %d: %d stage slices, want %d", name, pid, ex.stages, len(stage.Message)-1)
+		}
+		if ex.stageSum != ex.total {
+			t.Errorf("%s: pid %d: stage slices sum to %dns, total span is %dns", name, pid, ex.stageSum, ex.total)
 		}
 	}
 }

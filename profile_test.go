@@ -2,6 +2,7 @@ package hostsim_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -116,7 +117,10 @@ func TestProfileDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // WritePprof must produce a profile the in-repo parser round-trips, with
-// the same stacks and cycle counts the Result reports.
+// the same stacks and cycle counts the Result reports: two sample types
+// (cycles/count, the default, then time/nanoseconds), and every sample a
+// host;ctx;category or host;ctx;category;class stack with positive
+// cycles.
 func TestProfilePprofRoundTrip(t *testing.T) {
 	res := runProfiled(t, profCfg(7), hostsim.MixedWorkload(4, 16*1024))
 	var buf bytes.Buffer
@@ -127,8 +131,23 @@ func TestProfilePprofRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantTypes := []profile.ParsedValueType{{Type: "cycles", Unit: "count"}, {Type: "time", Unit: "nanoseconds"}}
+	if !slices.Equal(p.SampleTypes, wantTypes) {
+		t.Errorf("sample types = %v, want %v", p.SampleTypes, wantTypes)
+	}
 	if p.DefaultSampleType != "cycles" {
 		t.Errorf("default sample type = %q, want cycles", p.DefaultSampleType)
+	}
+	if len(p.Samples) == 0 {
+		t.Fatal("profile has no samples")
+	}
+	for i, s := range p.Samples {
+		if len(s.Stack) != 3 && len(s.Stack) != 4 {
+			t.Errorf("sample %d has %d frames %v, want 3 or 4", i, len(s.Stack), s.Stack)
+		}
+		if s.Values[0] <= 0 {
+			t.Errorf("sample %d (%v) has non-positive cycles %d", i, s.Stack, s.Values[0])
+		}
 	}
 	if len(p.Samples) != len(res.CycleProfile) {
 		t.Fatalf("parsed %d samples, Result has %d stacks", len(p.Samples), len(res.CycleProfile))
