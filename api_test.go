@@ -29,12 +29,6 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 			Workload{Kind: "long", Pattern: PatternIncast, N: 4, RemoteNUMA: true}},
 		{"negative warmup", Config{Stack: AllOptimizations(), Warmup: -time.Millisecond}, LongFlowWorkload(PatternSingle, 1)},
 		{"negative duration", Config{Stack: AllOptimizations(), Duration: -time.Millisecond}, LongFlowWorkload(PatternSingle, 1)},
-		{"duplicate host names, telemetry", namedHosts(Config{Telemetry: &Telemetry{}}, "a", "a", "b"), LongFlowWorkload(PatternIncast, 0)},
-		{"duplicate host names, ss", namedHosts(Config{Inspect: &InspectOptions{SS: true}}, "a", "a", "b"), LongFlowWorkload(PatternIncast, 0)},
-		{"comma in host name", namedHosts(Config{Telemetry: &Telemetry{}}, "a,b", "c"), LongFlowWorkload(PatternIncast, 0)},
-		{"quote in host name", namedHosts(Config{Telemetry: &Telemetry{}}, `a"b`, "c"), LongFlowWorkload(PatternIncast, 0)},
-		{"newline in host name", namedHosts(Config{Telemetry: &Telemetry{}}, "a\nb", "c"), LongFlowWorkload(PatternIncast, 0)},
-		{"slash in host name, ss", namedHosts(Config{Inspect: &InspectOptions{SS: true}}, "a", "a/core00", "b"), LongFlowWorkload(PatternIncast, 0)},
 		{"incast n=0", Config{Stack: AllOptimizations()}, LongFlowWorkload(PatternIncast, 0)},
 		{"incast n=100", Config{Stack: AllOptimizations()}, LongFlowWorkload(PatternIncast, 100)},
 		{"one-to-one n=-3", Config{Stack: AllOptimizations()}, LongFlowWorkload(PatternOneToOne, -3)},
@@ -47,7 +41,7 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		{"remote mixed", Config{Stack: AllOptimizations()},
 			Workload{Kind: "mixed", MixedShort: 4, RPCSize: 4096, RemoteNUMA: true}},
 		{"negative ecn", Config{Stack: AllOptimizations(), ECNMarkKB: -1}, LongFlowWorkload(PatternSingle, 1)},
-		{"negative ecn, fabric", namedHosts(Config{ECNMarkKB: -1}, "a", "b"), LongFlowWorkload(PatternIncast, 0)},
+		{"negative ecn, fabric", twoHostFabric(Config{ECNMarkKB: -1}), LongFlowWorkload(PatternIncast, 0)},
 		{"sndbuf below tso segment", func() Config { s := AllOptimizations(); s.SndBufBytes = 1; return Config{Stack: s} }(), LongFlowWorkload(PatternSingle, 1)},
 		{"sndbuf below mss segment", func() Config {
 			s := AllOptimizations()
@@ -57,12 +51,12 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 		{"link rate overflow", Config{Stack: AllOptimizations(), LinkGbps: 1 << 40}, LongFlowWorkload(PatternSingle, 1)},
 		{"nan loss", Config{Stack: AllOptimizations(), LossRate: math.NaN()}, LongFlowWorkload(PatternSingle, 1)},
 		{"nan alpha", func() Config {
-			c := namedHosts(Config{}, "a", "b")
+			c := twoHostFabric(Config{})
 			c.Fabric.Alpha = math.NaN()
 			return c
 		}(), LongFlowWorkload(PatternIncast, 0)},
 		{"infinite alpha", func() Config {
-			c := namedHosts(Config{}, "a", "b")
+			c := twoHostFabric(Config{})
 			c.Fabric.Alpha = math.Inf(1)
 			return c
 		}(), LongFlowWorkload(PatternIncast, 0)},
@@ -74,12 +68,11 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// namedHosts arms cfg with a short fabric run over hosts with the given
-// names.
-func namedHosts(cfg Config, names ...string) Config {
+// twoHostFabric arms cfg with a short run on a 2-host Config.Fabric.
+func twoHostFabric(cfg Config) Config {
 	cfg.Stack = AllOptimizations()
 	cfg.Warmup, cfg.Duration = time.Millisecond, time.Millisecond
-	cfg.Fabric = &FabricOptions{Hosts: len(names), HostNames: names}
+	cfg.Fabric = &FabricOptions{Hosts: 2}
 	return cfg
 }
 

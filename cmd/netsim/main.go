@@ -91,8 +91,14 @@ func main() {
 	)
 	flag.Parse()
 
-	// Fail typoed output paths before the run, not after: every -*-out
-	// flag requires its parent directory to exist already.
+	// -seeds reports only the seed summary, so a flag that writes or
+	// prints one run's output would be silently dropped: refuse it. Fail
+	// typoed output paths before the run, not after: every -*-out flag
+	// requires its parent directory to exist already.
+	if *seeds > 1 && (*latBreak || *traceN != 0 || *traceF != 0) {
+		fmt.Fprintf(os.Stderr, "netsim: -seeds %d reports a seed summary only; drop -latency-breakdown, -trace and -trace-flow\n", *seeds)
+		os.Exit(2)
+	}
 	for _, of := range []struct{ name, path string }{
 		{"profile-out", *profileOut}, {"folded-out", *foldedOut},
 		{"telemetry-out", *telemetryOut}, {"trace-out", *traceOut},
@@ -101,7 +107,14 @@ func main() {
 		{"fabric-report", *fabReport}, {"fabric-ts-out", *fabTSOut},
 		{"fabric-trace-out", *fabTrace},
 	} {
-		if of.path == "" || of.path == "-" {
+		if of.path == "" {
+			continue
+		}
+		if *seeds > 1 {
+			fmt.Fprintf(os.Stderr, "netsim: -seeds %d reports a seed summary only; drop -%s\n", *seeds, of.name)
+			os.Exit(2)
+		}
+		if of.path == "-" {
 			continue
 		}
 		if fi, err := os.Stat(filepath.Dir(of.path)); err != nil || !fi.IsDir() {

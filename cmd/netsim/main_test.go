@@ -26,12 +26,18 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// netsim runs the command with args in a child process and returns its
-// standard output.
-func netsim(t *testing.T, args ...string) string {
-	t.Helper()
+// netsimCmd builds the command that runs netsim with args in a child
+// process.
+func netsimCmd(args ...string) *exec.Cmd {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	return cmd
+}
+
+// netsim runs the command with args and returns its standard output.
+func netsim(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := netsimCmd(args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -78,7 +84,9 @@ func run(t *testing.T, cfg hostsim.Config, wl hostsim.Workload) *hostsim.Result 
 // TestOutputFlags drives every file-writing flag through two netsim
 // runs, a lossy RPC pair with every pair observer and an 8-host incast
 // with every fabric output, and checks that each file is byte-equal to
-// the matching writer of hostsim.Run on the Config the flags denote.
+// the matching writer of hostsim.Run on the Config the flags denote. A
+// third invocation pairs output flags with -seeds, which reports only a
+// seed summary, and must fail without writing anything.
 func TestOutputFlags(t *testing.T) {
 	dir := t.TempDir()
 	out := func(file string) string { return filepath.Join(dir, file) }
@@ -150,6 +158,17 @@ func TestOutputFlags(t *testing.T) {
 			if c := strings.Count(line, ","); c != n {
 				t.Errorf("-telemetry-out line %d: %d fields, header has %d", i+1, c+1, n+1)
 			}
+		}
+	})
+	t.Run("seeds", func(t *testing.T) {
+		pcap := out("seeds.pcapng")
+		cmd := netsimCmd("-seeds", "2", "-warmup", "1ms", "-dur", "1ms",
+			"-pcap-out", pcap, "-latency-breakdown")
+		if outb, err := cmd.CombinedOutput(); err == nil {
+			t.Errorf("-seeds 2 with output flags exited 0:\n%s", outb)
+		}
+		if _, err := os.Stat(pcap); !os.IsNotExist(err) {
+			t.Errorf("-pcap-out under -seeds: stat %s = %v, want no file", pcap, err)
 		}
 	})
 }

@@ -24,6 +24,11 @@ func TestRunAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting run is not short")
 	}
+	if raceEnabled {
+		// The detector's shadow allocations count in MemStats; CI runs
+		// this test in a separate non-race step.
+		t.Skip("the race detector's allocations are not the simulator's")
+	}
 	fab := hostsim.Config{
 		Stack: hostsim.AllOptimizations(), Seed: 7, ECNMarkKB: 64,
 		Warmup: 3 * time.Millisecond, Duration: 4 * time.Millisecond,

@@ -8,10 +8,11 @@ import (
 // FuzzConfig explores the configuration space with the fail-fast
 // invariant checker as its oracle: every generated config is sanitized
 // into a valid one, so any Run error — in particular a conservation-law
-// Failure — is a real bug. The fuzzer hunts for stack/workload/loss
-// combinations whose interleavings leak buffers, drop cycles or corrupt
-// TCP sequence state; `go test -fuzz=FuzzConfig` runs it open-ended and
-// CI smokes it briefly on every push.
+// Failure — or panic is a real bug. The fuzzer hunts for
+// stack/workload/loss/observer combinations whose interleavings leak
+// buffers, drop cycles or corrupt TCP sequence state; `go test
+// -fuzz=FuzzConfig` runs it open-ended and CI smokes it briefly on every
+// push.
 //
 // Reproduce a crasher with:
 //
@@ -19,12 +20,15 @@ import (
 //
 // after copying the reported file into testdata/fuzz/FuzzConfig/.
 func FuzzConfig(f *testing.F) {
-	// seeds: the paper's headline scenarios, compressed; the last covers a
-	// 16-host fabric incast against a tight shared buffer.
+	// seeds: the paper's headline scenarios, compressed; the fourth covers
+	// a 16-host fabric incast against a tight shared buffer, and the last
+	// two rerun the second and fourth with every observer armed.
 	f.Add(int64(1), uint16(2000), uint8(1), uint8(0), uint8(0), uint8(0), uint16(0), uint16(0), uint16(0), uint8(0), uint8(0xff), uint8(0), uint8(4), uint8(0), uint16(0), uint8(0))
 	f.Add(int64(7), uint16(1500), uint8(8), uint8(2), uint8(2), uint8(1), uint16(150), uint16(256), uint16(400), uint8(90), uint8(0x3f), uint8(1), uint8(16), uint8(0), uint16(0), uint8(0))
 	f.Add(int64(42), uint16(1000), uint8(3), uint8(4), uint8(3), uint8(4), uint16(0), uint16(1024), uint16(0), uint8(0), uint8(0x00), uint8(2), uint8(4), uint8(0), uint16(0), uint8(0))
 	f.Add(int64(9), uint16(1200), uint8(2), uint8(2), uint8(0), uint8(1), uint16(0), uint16(0), uint16(0), uint8(0), uint8(0x77), uint8(0), uint8(4), uint8(16), uint16(512), uint8(10))
+	f.Add(int64(7), uint16(1500), uint8(8), uint8(2), uint8(0xfe), uint8(1), uint16(150), uint16(256), uint16(400), uint8(90), uint8(0x3f), uint8(1), uint8(16), uint8(0), uint16(0), uint8(0))
+	f.Add(int64(9), uint16(1200), uint8(2), uint8(2), uint8(0xfc), uint8(1), uint16(0), uint16(0), uint16(0), uint8(0), uint8(0x77), uint8(0), uint8(4), uint8(16), uint16(512), uint8(10))
 	f.Fuzz(func(t *testing.T, seed int64, durUS uint16, flows, patIdx, ccIdx, steerIdx uint8,
 		lossTenthsPermille, ring, rxbufKB uint16, ecnKB, optBits, wlIdx, rpcKB uint8,
 		fabHosts uint8, fabBufKB uint16, fabAlphaTenths uint8) {
@@ -98,6 +102,32 @@ func FuzzConfig(f *testing.F) {
 				SharedBufferKB: int(fabBufKB) % 4097,              // [0, 4096]
 				Alpha:          float64(fabAlphaTenths%41) / 10.0, // [0, 4.0]
 			}
+		}
+
+		// ccIdx picks the congestion control from its low two bits; each
+		// higher bit arms one observer. Every observer is a pure read, so
+		// the checker must stay silent with any combination armed.
+		if ccIdx&(1<<2) != 0 {
+			cfg.Telemetry = &Telemetry{}
+		}
+		if ccIdx&(1<<3) != 0 {
+			cfg.Profile = &ProfileOptions{}
+		}
+		if ccIdx&(1<<4) != 0 {
+			cfg.MsgTrace = &MsgTraceOptions{}
+		}
+		if ccIdx&(1<<5) != 0 {
+			cfg.TraceEvents, cfg.TraceSpans = 256, true
+		}
+		if ccIdx&(1<<6) != 0 {
+			// A capture addresses one direction of a host pair.
+			cfg.Inspect = &InspectOptions{}
+			if cfg.Fabric != nil && cfg.Fabric.Hosts > 2 {
+				cfg.Inspect.Probe, cfg.Inspect.SS = true, true
+			}
+		}
+		if ccIdx&(1<<7) != 0 && cfg.Fabric != nil {
+			cfg.FabricObs = &FabricObsOptions{}
 		}
 
 		res, err := Run(cfg, wl)

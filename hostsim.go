@@ -25,7 +25,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"hostsim/internal/check"
@@ -139,9 +138,7 @@ func (s Stack) options() (core.Options, error) {
 type Tuning struct {
 	TSQBytes         int64         // per-connection qdisc bound (default 256KB)
 	SchedGranularity time.Duration // scheduler wakeup granularity (default 250us)
-	SleeperCredit    time.Duration // wakeup vruntime credit (default 50us)
 	ModerationDelay  time.Duration // NIC IRQ coalescing delay (default 12us)
-	ModerationFrames int           // NIC IRQ coalescing frame threshold (default 24)
 	PagesetCap       int           // per-core pageset capacity (default 512; -1 = none)
 	DCAHazardFactor  float64       // descriptor eviction hazard scale (default 0.035; -1 = off)
 }
@@ -262,8 +259,10 @@ type Config struct {
 
 // MsgTraceOptions configures the message tracer (see Config.MsgTrace).
 // The zero value traces every flow at its natural message size (the RPC
-// request/response size, or 128KB iPerf write units for long flows),
-// keeps the 8 slowest exemplars and caps retained records at 1<<20.
+// request/response size, or 128KB iPerf write units for long flows) and
+// keeps the 8 slowest exemplars. Up to 1<<20 per-message records are
+// retained for exact band attribution; completions beyond that still
+// feed the quantiles but count as truncated.
 type MsgTraceOptions struct {
 	// MsgBytes overrides the per-flow message size: each flow's byte
 	// stream is cut into consecutive MsgBytes-sized messages. 0 keeps
@@ -273,10 +272,6 @@ type MsgTraceOptions struct {
 	// Slowest is the number of worst-latency exemplar messages kept with
 	// full segment/recovery detail for span export (0 = 8).
 	Slowest int
-	// MaxMessages caps the per-message records retained for exact band
-	// attribution (0 = 1<<20); completions beyond it still feed the
-	// quantile histogram but count as truncated.
-	MaxMessages int
 }
 
 // FabricOptions configures the switch-fabric topology (see Config.Fabric).
@@ -293,39 +288,21 @@ type FabricOptions struct {
 	SharedBufferKB int
 	// Alpha is the dynamic-threshold scale factor (0 = 1.0).
 	Alpha float64
-	// HostNames overrides the default host00..hostNN naming; must be
-	// empty or exactly Hosts distinct entries, none containing a comma, a
-	// double quote, a line break or a '/' (names head timeline columns
-	// and CSV fields). Names label stats and traces only — relabeling
-	// never changes the physics.
-	HostNames []string
 }
 
-// hostNameBanned lists the characters a Fabric.HostNames entry may not
-// contain: CSV field and record separators, the quote, and the '/' that
-// separates the parts of a timeline column name.
-const hostNameBanned = ",\"\r\n/"
-
 // FabricObsOptions configures the fabric observatory (see
-// Config.FabricObs). The zero value samples every 100µs into a
-// 4096-sample ring, opens microbursts at 128KB of egress backlog, keeps
-// the top 4 contributing flows per burst and retains up to 1024 bursts.
+// Config.FabricObs). The zero value samples every 100µs and opens
+// microbursts at 128KB of egress backlog. The time-series ring keeps the
+// latest 4096 samples; each burst keeps its top 4 contributing flows, and
+// up to 1024 bursts are retained (later ones are still counted per port).
 type FabricObsOptions struct {
 	// SampleInterval is the simulated time between per-port time-series
 	// samples (0 = 100µs).
 	SampleInterval time.Duration
-	// MaxSamples bounds the time-series ring (0 = 4096).
-	MaxSamples int
 	// BurstThresholdKB opens a microburst when a frame enqueues into an
 	// egress backlog at or above this many KB of wire bytes; the burst
 	// closes when the queue drains to half the threshold (0 = 128).
 	BurstThresholdKB int
-	// BurstFlows is the number of top contributing flows kept per burst
-	// event (0 = 4).
-	BurstFlows int
-	// MaxBursts caps retained burst events; further bursts are detected
-	// and counted per port but not retained (0 = 1024).
-	MaxBursts int
 }
 
 // PortReport is one fabric port's end-of-run attribution-ledger line (see
@@ -349,38 +326,29 @@ type FabricStats struct {
 }
 
 // CheckOptions configures the invariant checker (see Config.Check). The
-// zero value audits every 500µs of simulated time and fails fast.
+// checker audits every 500µs of simulated time; the zero value fails
+// fast.
 type CheckOptions struct {
-	// Interval between periodic audits; 0 = 500µs of simulated time.
-	Interval time.Duration
-	// Collect accumulates violations into Result.Violations instead of
-	// aborting the run at the first one.
+	// Collect accumulates up to 64 violations into Result.Violations
+	// instead of aborting the run at the first one.
 	Collect bool
-	// MaxViolations caps Collect-mode accumulation; 0 = 64.
-	MaxViolations int
 }
 
 // InspectOptions configures the wire-level inspector (see Config.Inspect).
 // Pcap, Probe and SS select the exporters; all three false (the zero
-// value) enables all of them.
+// value) enables all of them. A capture keeps the first 128 bytes of up
+// to 1<<20 packets per direction (the 66 synthesized header bytes plus a
+// slice of payload; later packets count as truncated), the congestion
+// trace up to 1<<20 events, and the snapshot ring the latest 4096
+// samples.
 type InspectOptions struct {
 	Pcap  bool // capture both link directions into Result.PacketCaptures (2-host topologies only)
 	Probe bool // tcp_probe-style congestion traces into Result.ProbeTrace
 	SS    bool // socket/queue snapshots into Result.SocketSnapshots
 
-	// SnapLen bounds the bytes kept per captured packet (0 = 128, enough
-	// for the 66 synthesized header bytes plus a slice of payload).
-	SnapLen int
-	// MaxPackets bounds each direction's capture (0 = 1<<20); further
-	// packets count as truncated.
-	MaxPackets int
-	// MaxProbeEvents bounds the congestion trace (0 = 1<<20).
-	MaxProbeEvents int
 	// SSInterval is the snapshot sampling period (0 = 100µs); snapshots
 	// cover the whole run, warmup included, so slow start is visible.
 	SSInterval time.Duration
-	// SSMaxSamples bounds the snapshot timeline ring (0 = 4096).
-	SSMaxSamples int
 }
 
 // Violation is one invariant breach observed by the checker: the
@@ -388,10 +356,9 @@ type InspectOptions struct {
 // diagnostic. It implements error.
 type Violation = check.Violation
 
-// ProfileOptions configures the cycle profiler (see Config.Profile). The
-// zero value classifies flows by workload kind ("long"/"rpc"); set
-// FlowClasses to override the flow-id → class labeling.
-type ProfileOptions = profile.Options
+// ProfileOptions arms the cycle profiler (see Config.Profile). It has no
+// fields: flows are classed by workload kind ("long"/"rpc").
+type ProfileOptions struct{}
 
 // CycleStack is one aggregated profiler attribution stack, root first
 // (host, softirq|thread, Table-1 category, then flow class when the
@@ -448,7 +415,7 @@ type TailBand struct {
 type MessageLatency struct {
 	Count     int64 // completed messages (including truncated)
 	Dropped   int64 // messages with incomplete stamps (pre-attach writes)
-	Truncated int64 // completions beyond MaxMessages (quantiles only)
+	Truncated int64 // completions beyond the 1<<20 retained records (quantiles only)
 	P50       time.Duration
 	P90       time.Duration
 	P99       time.Duration
@@ -467,14 +434,12 @@ func (m *MessageLatency) Format() string { return m.text }
 // per stage, stage.Message order); see Result.MessageRecords.
 type MsgRecord = mtrace.Record
 
-// Telemetry configures the sampling layer (see Config.Telemetry).
+// Telemetry configures the sampling layer (see Config.Telemetry). The
+// timeline ring keeps the latest 4096 samples.
 type Telemetry struct {
 	// SampleInterval is the simulated time between registry snapshots
 	// (0 = 100µs).
 	SampleInterval time.Duration
-	// MaxSamples bounds the timeline ring; the oldest samples are
-	// evicted beyond it (0 = 4096).
-	MaxSamples int
 }
 
 // Timeline is the sampled multi-metric timeseries produced when
@@ -850,9 +815,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	if tn := cfg.Tuning; tn != nil {
 		opts.TSQBytes = units.Bytes(tn.TSQBytes)
 		opts.SchedGranularity = tn.SchedGranularity
-		opts.SleeperCredit = tn.SleeperCredit
 		opts.ModerationDelay = tn.ModerationDelay
-		opts.ModerationFrames = tn.ModerationFrames
 		opts.PagesetCap = tn.PagesetCap
 		opts.DCAHazardFactor = tn.DCAHazardFactor
 	}
@@ -894,25 +857,9 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		if !(fo.Alpha >= 0) || math.IsInf(fo.Alpha, 1) {
 			return nil, fmt.Errorf("hostsim: Fabric.Alpha %v is negative or not finite", fo.Alpha)
 		}
-		if len(fo.HostNames) != 0 && len(fo.HostNames) != fo.Hosts {
-			return nil, fmt.Errorf("hostsim: %d Fabric.HostNames for %d hosts", len(fo.HostNames), fo.Hosts)
-		}
-		seen := make(map[string]bool, len(fo.HostNames))
-		for _, name := range fo.HostNames {
-			if seen[name] {
-				return nil, fmt.Errorf("hostsim: duplicate Fabric.HostNames entry %q", name)
-			}
-			seen[name] = true
-			if strings.ContainsAny(name, hostNameBanned) {
-				return nil, fmt.Errorf("hostsim: Fabric.HostNames entry %q contains one of %q", name, hostNameBanned)
-			}
-		}
-		names = fo.HostNames
-		if len(names) == 0 {
-			names = make([]string, fo.Hosts)
-			for i := range names {
-				names[i] = fmt.Sprintf("host%03d", i)
-			}
+		names = make([]string, fo.Hosts)
+		for i := range names {
+			names[i] = fmt.Sprintf("host%03d", i)
 		}
 		fcfg.SharedBuffer = units.Bytes(fo.SharedBufferKB) * units.KB
 		fcfg.Alpha = fo.Alpha
@@ -937,14 +884,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 
 	var checker *check.Checker
 	if cfg.Check != nil {
-		if cfg.Check.Interval < 0 {
-			return nil, fmt.Errorf("hostsim: negative Check.Interval")
-		}
-		checker = check.New(eng, check.Options{
-			Interval:      cfg.Check.Interval,
-			Collect:       cfg.Check.Collect,
-			MaxViolations: cfg.Check.MaxViolations,
-		})
+		checker = check.New(eng, check.Options{Collect: cfg.Check.Collect})
 		core.AttachChecker(checker, cluster)
 		checker.Start()
 	}
@@ -972,13 +912,6 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		if interval < 0 {
 			return nil, fmt.Errorf("hostsim: negative Telemetry.SampleInterval")
 		}
-		maxSamples := cfg.Telemetry.MaxSamples
-		if maxSamples == 0 {
-			maxSamples = 4096
-		}
-		if maxSamples < 0 {
-			return nil, fmt.Errorf("hostsim: negative Telemetry.MaxSamples")
-		}
 		reg := telemetry.NewRegistry()
 		for _, h := range hosts {
 			h.EnableTelemetry(reg)
@@ -988,7 +921,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 			// host gauges, so one -telemetry-out artifact covers both.
 			cluster.Fabric().RegisterTelemetry(reg, "fabric/")
 		}
-		sampler = telemetry.NewSampler(eng, reg, interval, maxSamples)
+		sampler = telemetry.NewSampler(eng, reg, interval, 4096)
 	}
 
 	var run *builtWorkload
@@ -1004,7 +937,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 	var mt *mtrace.Tracer
 	if cfg.MsgTrace != nil {
 		mo := cfg.MsgTrace
-		if mo.MsgBytes < 0 || mo.Slowest < 0 || mo.MaxMessages < 0 {
+		if mo.MsgBytes < 0 || mo.Slowest < 0 {
 			return nil, fmt.Errorf("hostsim: negative MsgTrace option")
 		}
 		sizes := msgSizes(run, mo.MsgBytes)
@@ -1020,12 +953,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 				}
 			})
 		}
-		mt = mtrace.New(mtrace.Options{
-			MsgBytes:    sizes,
-			Start:       starts,
-			Slowest:     mo.Slowest,
-			MaxMessages: mo.MaxMessages,
-		})
+		mt = mtrace.New(mtrace.Options{MsgBytes: sizes, Start: starts, Slowest: mo.Slowest})
 		for _, h := range hosts {
 			h.EnableMsgTrace(mt)
 		}
@@ -1041,11 +969,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 
 	var prof *profile.Profiler
 	if cfg.Profile != nil {
-		popts := *cfg.Profile
-		if popts.FlowClasses == nil {
-			popts.FlowClasses = flowClasses(run)
-		}
-		prof = profile.New(popts, spec.Frequency)
+		prof = profile.New(profile.Options{FlowClasses: flowClasses(run)}, spec.Frequency)
 		for _, h := range hosts {
 			h.EnableProfiler(prof)
 		}
@@ -1067,8 +991,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		if cfg.Fabric == nil {
 			return nil, fmt.Errorf("hostsim: FabricObs requires Fabric")
 		}
-		if fo.SampleInterval < 0 || fo.MaxSamples < 0 || fo.BurstThresholdKB < 0 ||
-			fo.BurstFlows < 0 || fo.MaxBursts < 0 {
+		if fo.SampleInterval < 0 || fo.BurstThresholdKB < 0 {
 			return nil, fmt.Errorf("hostsim: negative FabricObs option")
 		}
 		names := make([]string, len(hosts))
@@ -1077,10 +1000,7 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 		}
 		fobs = fabricobs.New(eng, cluster.Fabric(), names, fabricobs.Options{
 			SampleInterval: fo.SampleInterval,
-			MaxSamples:     fo.MaxSamples,
 			BurstThreshold: units.Bytes(fo.BurstThresholdKB) * units.KB,
-			BurstFlows:     fo.BurstFlows,
-			MaxBursts:      fo.MaxBursts,
 		})
 	}
 

@@ -35,9 +35,6 @@ func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, tap
 	if o == nil {
 		return nil, nil
 	}
-	if o.SnapLen < 0 || o.MaxPackets < 0 || o.MaxProbeEvents < 0 || o.SSMaxSamples < 0 {
-		return nil, fmt.Errorf("hostsim: negative Inspect bound")
-	}
 	if o.SSInterval < 0 {
 		return nil, fmt.Errorf("hostsim: negative Inspect.SSInterval")
 	}
@@ -52,13 +49,13 @@ func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, tap
 	insp := &inspector{}
 	if pcap {
 		for i, tp := range taps {
-			cap := inspect.NewCapture(eng, tp.name, i, o.SnapLen, o.MaxPackets)
+			cap := inspect.NewCapture(eng, tp.name, i, 0, 0)
 			tp.link.SetTap(cap.Tap())
 			insp.captures = append(insp.captures, cap)
 		}
 	}
 	if probe {
-		insp.probes = inspect.NewProbeTrace(o.MaxProbeEvents)
+		insp.probes = inspect.NewProbeTrace(0)
 		for _, h := range hosts {
 			hook := insp.probes.Hook(h.Name())
 			h.ForEachEndpoint(func(ep *core.Endpoint) { ep.Conn().AddProbe(hook) })
@@ -68,10 +65,6 @@ func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, tap
 		interval := o.SSInterval
 		if interval == 0 {
 			interval = inspect.DefaultSSInterval
-		}
-		maxSamples := o.SSMaxSamples
-		if maxSamples == 0 {
-			maxSamples = inspect.DefaultSSMaxSamples
 		}
 		reg := telemetry.NewRegistry()
 		for _, h := range hosts {
@@ -89,7 +82,7 @@ func attachInspector(o *InspectOptions, eng *sim.Engine, hosts []*core.Host, tap
 				ep.Conn().AddProbe(rtt.Watch(reg, telemetry.Prefix(name+"/", "flow", int(flow), 3), flow))
 			})
 		}
-		insp.sampler = telemetry.NewSampler(eng, reg, interval, maxSamples)
+		insp.sampler = telemetry.NewSampler(eng, reg, interval, inspect.DefaultSSMaxSamples)
 		// Sample from t=0: unlike the measurement timeline, socket
 		// snapshots deliberately cover warmup, where slow start lives.
 		insp.sampler.Start(0)

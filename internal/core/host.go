@@ -170,9 +170,6 @@ func NewHost(name string, eng *sim.Engine, spec topology.MachineSpec,
 	if opts.SchedGranularity > 0 {
 		h.Sys.SetGranularity(opts.SchedGranularity)
 	}
-	if opts.SleeperCredit > 0 {
-		h.Sys.SetSleeperCredit(opts.SleeperCredit)
-	}
 	if opts.PagesetCap > 0 {
 		h.Alloc.SetPagesetCap(opts.PagesetCap)
 	} else if opts.PagesetCap < 0 {

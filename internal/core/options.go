@@ -103,16 +103,14 @@ type Options struct {
 	RcvBufBytes units.Bytes // fixed TCP receive buffer; 0 = autotune to 6MB
 	SndBufBytes units.Bytes // socket send buffer (0 = 4MB)
 
-	// ModerationDelay/ModerationFrames override IRQ coalescing (0 = NIC
-	// defaults).
-	ModerationDelay  time.Duration
-	ModerationFrames int
+	// ModerationDelay overrides the IRQ coalescing delay (0 = NIC
+	// default).
+	ModerationDelay time.Duration
 
 	// ---- advanced model knobs (0 = defaults), used by the ablation
 	// experiments to isolate individual design choices.
 	TSQBytes         units.Bytes   // per-connection unsent-in-qdisc bound
 	SchedGranularity time.Duration // CFS-like wakeup/preemption granularity
-	SleeperCredit    time.Duration // wakeup vruntime credit
 	PagesetCap       int           // per-core pageset capacity (-1 = none)
 	DCAHazardFactor  float64       // descriptor-count eviction hazard scale (-1 = off)
 }
@@ -187,9 +185,6 @@ func (o Options) nicConfig() nic.Config {
 	}
 	if o.ModerationDelay > 0 {
 		cfg.ModerationDelay = o.ModerationDelay
-	}
-	if o.ModerationFrames > 0 {
-		cfg.ModerationFrames = o.ModerationFrames
 	}
 	if o.DCAHazardFactor > 0 {
 		cfg.DCAHazardFactor = o.DCAHazardFactor

@@ -142,14 +142,6 @@ func (s *System) SetGranularity(d time.Duration) {
 	s.granularity = units.CyclesIn(d, s.spec.Frequency)
 }
 
-// SetSleeperCredit overrides the wakeup vruntime credit (tests, ablations).
-func (s *System) SetSleeperCredit(d time.Duration) {
-	if d < 0 {
-		panic("exec: negative sleeper credit")
-	}
-	s.sleepCredit = units.CyclesIn(d, s.spec.Frequency)
-}
-
 // NewSystem builds the cores for spec.
 func NewSystem(eng *sim.Engine, spec topology.MachineSpec, costs *cpumodel.Costs) *System {
 	if eng == nil || costs == nil {

@@ -39,43 +39,31 @@ import (
 	"hostsim/internal/wire"
 )
 
+// Bounds on what the observatory retains.
+const (
+	maxSamples = 4096 // time-series ring; the oldest samples are evicted beyond it
+	burstFlows = 4    // top contributing flows kept per burst event
+	maxBursts  = 1024 // retained burst events; later bursts are counted per port only
+)
+
 // Options configures the observatory. The zero value samples every 100µs
-// into a 4096-sample ring, opens bursts at 128KB of egress backlog, keeps
-// the top 4 contributing flows per burst and caps retained bursts at 1024.
+// and opens bursts at 128KB of egress backlog.
 type Options struct {
 	// SampleInterval is the simulated time between time-series samples
 	// (0 = 100µs).
 	SampleInterval time.Duration
-	// MaxSamples bounds the time-series ring; the oldest samples are
-	// evicted beyond it (0 = 4096).
-	MaxSamples int
 	// BurstThreshold opens a microburst when a frame enqueues into an
 	// egress backlog at or above this many wire bytes; the burst closes
 	// when the queue drains to half the threshold (0 = 128KB).
 	BurstThreshold units.Bytes
-	// BurstFlows is the number of top contributing flows kept per burst
-	// event (0 = 4).
-	BurstFlows int
-	// MaxBursts caps retained burst events; further bursts are detected
-	// and counted per port but not retained (0 = 1024).
-	MaxBursts int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SampleInterval == 0 {
 		o.SampleInterval = 100 * time.Microsecond
 	}
-	if o.MaxSamples == 0 {
-		o.MaxSamples = 4096
-	}
 	if o.BurstThreshold == 0 {
 		o.BurstThreshold = 128 * units.KB
-	}
-	if o.BurstFlows == 0 {
-		o.BurstFlows = 4
-	}
-	if o.MaxBursts == 0 {
-		o.MaxBursts = 1024
 	}
 	return o
 }
@@ -208,9 +196,8 @@ type Observer struct {
 	reg *telemetry.Registry
 	smp *telemetry.Sampler
 
-	ports    []*portState
-	bursts   []BurstEvent
-	overflow int64 // bursts detected beyond MaxBursts (not retained)
+	ports  []*portState
+	bursts []BurstEvent
 
 	attachedAt sim.Time
 	finalized  bool
@@ -231,8 +218,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 	if len(names) != fab.Ports() {
 		panic(fmt.Sprintf("fabricobs: %d names for %d ports", len(names), fab.Ports()))
 	}
-	if opts.SampleInterval < 0 || opts.MaxSamples < 0 || opts.BurstThreshold < 0 ||
-		opts.BurstFlows < 0 || opts.MaxBursts < 0 {
+	if opts.SampleInterval < 0 || opts.BurstThreshold < 0 {
 		panic("fabricobs: negative option")
 	}
 	o := &Observer{
@@ -268,7 +254,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, names []string, opts Options) *Obs
 		ps.out.SetDeliverTap(func(f *skb.Frame) { o.deliverTap(ps, f) })
 	}
 	o.registerTimeline()
-	o.smp = telemetry.NewSampler(eng, o.reg, o.opts.SampleInterval, o.opts.MaxSamples)
+	o.smp = telemetry.NewSampler(eng, o.reg, o.opts.SampleInterval, maxSamples)
 	o.smp.Start(0)
 	return o
 }
@@ -357,8 +343,7 @@ func (o *Observer) closeBurst(ds *portState, end sim.Time, truncated bool) {
 	b := ds.cur
 	ds.cur = nil
 	ds.burstCount++
-	if len(o.bursts) >= o.opts.MaxBursts {
-		o.overflow++
+	if len(o.bursts) >= maxBursts {
 		return
 	}
 	ev := BurstEvent{
@@ -372,7 +357,7 @@ func (o *Observer) closeBurst(ds *portState, end sim.Time, truncated bool) {
 		AdmissionDrops: b.drops,
 		Truncated:      truncated,
 	}
-	ev.Flows = topFlows(b.flows, o.opts.BurstFlows)
+	ev.Flows = topFlows(b.flows, burstFlows)
 	o.bursts = append(o.bursts, ev)
 }
 
@@ -508,9 +493,6 @@ func (o *Observer) Bursts() []BurstEvent {
 // FormatReport renders the observatory's ledger and bursts as the
 // aligned text table of FormatReport.
 func (o *Observer) FormatReport() string { return FormatReport(o.PortReports(), o.Bursts()) }
-
-// OverflowBursts reports bursts detected beyond the MaxBursts cap.
-func (o *Observer) OverflowBursts() int64 { return o.overflow }
 
 // Reconcile cross-checks the observatory's independently accumulated
 // ledger against the fabric's own counters: per port, the ingress tallies

@@ -301,5 +301,5 @@ func TestNewPanics(t *testing.T) {
 	expectPanic("nil engine", func() { New(nil, fb, []string{"a", "b"}, Options{}) })
 	expectPanic("nil fabric", func() { New(eng, nil, []string{"a", "b"}, Options{}) })
 	expectPanic("name count", func() { New(eng, fb, []string{"a"}, Options{}) })
-	expectPanic("negative option", func() { New(eng, fb, []string{"a", "b"}, Options{MaxBursts: -1}) })
+	expectPanic("negative option", func() { New(eng, fb, []string{"a", "b"}, Options{BurstThreshold: -1}) })
 }

@@ -40,11 +40,6 @@ type RunConfig struct {
 	CostScale map[string]float64
 }
 
-// checkOpts is the one CheckOptions value shared by every checked run.
-// A single package-level pointer keeps the run memo's "%+v" keys stable:
-// the pointer field renders as the same address for every config.
-var checkOpts = &hostsim.CheckOptions{}
-
 // jobs returns the effective parallelism degree.
 func (rc RunConfig) jobs() int {
 	if rc.Jobs <= 1 {
@@ -62,7 +57,7 @@ func (rc RunConfig) config(s hostsim.Stack) hostsim.Config {
 	cfg := hostsim.Config{Stack: s, Seed: rc.Seed, Warmup: rc.Warmup, Duration: rc.Duration,
 		CostScale: rc.CostScale}
 	if rc.Check {
-		cfg.Check = checkOpts
+		cfg.Check = &hostsim.CheckOptions{}
 	}
 	return cfg
 }

@@ -114,6 +114,18 @@ func TestRunCache(t *testing.T) {
 	if CacheSize() != n {
 		t.Errorf("fig3b should fully reuse fig3a's runs (%d -> %d)", n, CacheSize())
 	}
+	// A fabric experiment builds fresh FabricOptions and FabricObsOptions
+	// pointers for every run; equal values must still share memo keys.
+	if _, err := fab6Attribution(rc); err != nil {
+		t.Fatal(err)
+	}
+	n = CacheSize()
+	if _, err := fab6Attribution(rc); err != nil {
+		t.Fatal(err)
+	}
+	if CacheSize() != n {
+		t.Errorf("cache grew on identical fab6 rerun: %d -> %d", n, CacheSize())
+	}
 	ClearCache()
 	if CacheSize() != 0 {
 		t.Error("ClearCache left entries")

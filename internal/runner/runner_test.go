@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -99,54 +98,6 @@ func TestMapJobError(t *testing.T) {
 	res := Map([]int{1}, func(int) (int, error) { return 0, sentinel }, Options{Workers: 2})
 	if !errors.Is(res[0].Err, sentinel) {
 		t.Fatalf("got %v, want sentinel", res[0].Err)
-	}
-}
-
-func TestMapCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	var cancelled atomic.Int32
-	jobs := make([]int, 32)
-	for i := range jobs {
-		jobs[i] = i
-	}
-	go func() {
-		<-started
-		cancel()
-	}()
-	var once atomic.Bool
-	res := Map(jobs, func(j int) (int, error) {
-		if once.CompareAndSwap(false, true) {
-			close(started)
-		}
-		time.Sleep(5 * time.Millisecond)
-		return j, nil
-	}, Options{Workers: 2, Context: ctx})
-	for _, r := range res {
-		if errors.Is(r.Err, context.Canceled) {
-			cancelled.Add(1)
-		}
-	}
-	if cancelled.Load() == 0 {
-		t.Error("expected some jobs to be cancelled")
-	}
-}
-
-func TestMapJobTimeout(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	res := Map([]int{0, 1}, func(j int) (int, error) {
-		if j == 0 {
-			<-block // never finishes within the timeout
-		}
-		return j, nil
-	}, Options{Workers: 2, JobTimeout: 20 * time.Millisecond})
-	var te *TimeoutError
-	if !errors.As(res[0].Err, &te) {
-		t.Fatalf("job 0: got %v, want TimeoutError", res[0].Err)
-	}
-	if res[1].Err != nil || res[1].Value != 1 {
-		t.Errorf("job 1: got (%d, %v), want (1, nil)", res[1].Value, res[1].Err)
 	}
 }
 

@@ -1,9 +1,7 @@
 package hostsim
 
 import (
-	"context"
 	"runtime"
-	"time"
 
 	"hostsim/internal/runner"
 )
@@ -21,20 +19,6 @@ type RunOption func(*runner.Options)
 // n <= 0 means runtime.NumCPU(); 1 runs the batch serially.
 func WithParallelism(n int) RunOption {
 	return func(o *runner.Options) { o.Workers = n }
-}
-
-// WithContext makes the batch cancellable: jobs not yet started when ctx
-// is cancelled report ctx.Err() instead of running.
-func WithContext(ctx context.Context) RunOption {
-	return func(o *runner.Options) { o.Context = ctx }
-}
-
-// WithJobTimeout bounds each job's wall-clock time. A timed-out job
-// reports a runner.TimeoutError; its goroutine is abandoned (a CPU-bound
-// simulation cannot be interrupted), so use this as a last-resort guard
-// against runaway configurations, not as control flow.
-func WithJobTimeout(d time.Duration) RunOption {
-	return func(o *runner.Options) { o.JobTimeout = d }
 }
 
 // RunMany executes a batch of independent simulations across CPU cores,
